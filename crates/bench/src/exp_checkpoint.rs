@@ -1,22 +1,17 @@
-//! **checkpoint** — checkpoint and recovery cost: the monolithic
-//! whole-KB rewrite vs the segmented (LSM-style) O(delta) flush
-//! (DESIGN.md §17). Not a paper figure — this gates the repo's own
-//! storage layer.
+//! **checkpoint** — checkpoint and recovery cost of the segmented
+//! (LSM-style) O(delta) flush (DESIGN.md §17). Not a paper figure — this
+//! gates the repo's own storage layer.
 //!
-//! One warmed knowledge base, two backends, identical deterministic
-//! workloads:
+//! One warmed knowledge base, one deterministic workload:
 //!
-//! * `mono_flush` / `seg_flush` — the steady state the paper's
-//!   ever-growing KB reaches: every round touches 2 of the 12 attributes
-//!   and forces a rotation. The monolithic backend rewrites every
-//!   partition each time; the segmented backend writes one small segment
-//!   holding only the two dirtied partitions.
-//! * `mono_recover` / `seg_recover` — reopen cost after the run. The
-//!   monolithic backend deserializes the whole checkpoint; the segmented
-//!   backend reads the manifest + segment indexes and leaves every
-//!   partition lazy.
+//! * `seg_flush` — the steady state the paper's ever-growing KB reaches:
+//!   every round touches 2 of the 12 attributes and forces a rotation,
+//!   which writes one small segment holding only the two dirtied
+//!   partitions.
+//! * `seg_recover` — reopen cost after the run: the manifest + segment
+//!   indexes are read and every partition stays lazy.
 //!
-//! Workloads are seed-deterministic, so the QPF columns are stable and
+//! The workload is seed-deterministic, so the QPF columns are stable and
 //! safe to gate in CI; the bytes-per-checkpoint and wall-clock columns
 //! carry the O(delta) story.
 
@@ -40,7 +35,7 @@ const VALUE_DOMAIN: u64 = 1_000_000;
 /// One measured variant.
 #[derive(Debug, Clone)]
 pub struct CheckpointPoint {
-    /// Row id (`mono_flush`, `seg_flush`, `mono_recover`, `seg_recover`).
+    /// Row id (`seg_flush`, `seg_recover`).
     pub id: String,
     /// Wall-clock of the measured phase (ms).
     pub ms: f64,
@@ -58,7 +53,7 @@ pub struct CheckpointPoint {
 
 /// Raw measurement output.
 pub struct CheckpointData {
-    /// Flush + recovery rows for both backends, monolithic first.
+    /// The flush row, then the recovery row.
     pub points: Vec<CheckpointPoint>,
     /// Dataset rows per attribute.
     pub n: usize,
@@ -108,7 +103,7 @@ fn warm_preds(attr: AttrId) -> Vec<Predicate> {
 }
 
 /// The two attributes round `r` touches, and the deterministic predicate
-/// each gets — identical across backends.
+/// each gets.
 fn touch_preds(r: usize) -> Vec<(AttrId, Predicate)> {
     let mut rng = StdRng::seed_from_u64(0xD117 ^ r as u64);
     (0..TOUCH_PER_ROUND)
@@ -127,47 +122,30 @@ fn total_k(engine: &PrkbEngine<Predicate>) -> u64 {
         .sum()
 }
 
-/// Bytes the last rotation left on disk: the whole `checkpoint.bin` for
-/// the monolithic backend, the newest published segment for the segmented
-/// one.
-fn last_flush_bytes(dir: &Path, segmented: bool) -> u64 {
-    if segmented {
-        let manifest = read_segment_manifest(real_fs().as_ref(), dir)
-            .expect("manifest reads")
-            .expect("manifest exists after a checkpoint");
-        let newest = *manifest.segments.last().expect("non-empty live set");
-        std::fs::metadata(dir.join(segment_file_name(newest)))
-            .map(|m| m.len())
-            .unwrap_or(0)
-    } else {
-        std::fs::metadata(dir.join("checkpoint.bin"))
-            .map(|m| m.len())
-            .unwrap_or(0)
-    }
+/// Bytes the last rotation left on disk: the newest published segment.
+fn last_flush_bytes(dir: &Path) -> u64 {
+    let manifest = read_segment_manifest(real_fs().as_ref(), dir)
+        .expect("manifest reads")
+        .expect("manifest exists after a checkpoint");
+    let newest = *manifest.segments.last().expect("non-empty live set");
+    std::fs::metadata(dir.join(segment_file_name(newest)))
+        .map(|m| m.len())
+        .unwrap_or(0)
 }
 
-fn config(segmented: bool) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: 0, // rotations are forced explicitly
         checkpoint_wal_bytes: 0,
-        segmented_checkpoints: segmented,
         compact_segment_threshold: 0, // measure pure flush cost
         ..EngineConfig::default()
     }
 }
 
-/// Warm + flush phase for one backend; leaves the directory populated for
-/// the recovery measurement and returns the flush row.
-fn run_flush(
-    dir: &TmpDir,
-    oracle: &PlainOracle,
-    n: usize,
-    rounds: usize,
-    segmented: bool,
-) -> CheckpointPoint {
-    let tag = if segmented { "seg" } else { "mono" };
-    let (mut durable, _) =
-        DurableEngine::<Predicate>::open(&dir.0, config(segmented)).expect("open");
+/// Warm + flush phase; leaves the directory populated for the recovery
+/// measurement and returns the flush row.
+fn run_flush(dir: &TmpDir, oracle: &PlainOracle, n: usize, rounds: usize) -> CheckpointPoint {
+    let (mut durable, _) = DurableEngine::<Predicate>::open(&dir.0, config()).expect("open");
     for a in 0..ATTRS {
         durable.init_attr(a, n).expect("init");
     }
@@ -190,11 +168,11 @@ fn run_flush(
                 .expect("touch select");
         }
         durable.checkpoint().expect("forced rotation");
-        volume += last_flush_bytes(&dir.0, segmented);
+        volume += last_flush_bytes(&dir.0);
     }
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
     CheckpointPoint {
-        id: format!("{tag}_flush"),
+        id: "seg_flush".into(),
         ms,
         qpf: oracle.qpf_uses() - qpf_before,
         checkpoints: rounds as u64,
@@ -204,18 +182,16 @@ fn run_flush(
 }
 
 /// Reopen cost over the directory `run_flush` left behind.
-fn run_recover(dir: &TmpDir, segmented: bool) -> CheckpointPoint {
-    let tag = if segmented { "seg" } else { "mono" };
+fn run_recover(dir: &TmpDir) -> CheckpointPoint {
     let start = Instant::now();
-    let (mut durable, report) =
-        DurableEngine::<Predicate>::open(&dir.0, config(segmented)).expect("reopen");
+    let (mut durable, report) = DurableEngine::<Predicate>::open(&dir.0, config()).expect("reopen");
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
     // Materialize everything *after* stopping the clock, so the recovery
-    // row isolates open cost; `total_k` then verifies both backends hold
-    // the same KB.
+    // row isolates open cost; `total_k` then verifies the reopened engine
+    // holds the whole KB.
     durable.ensure_all_loaded().expect("materialize");
     CheckpointPoint {
-        id: format!("{tag}_recover"),
+        id: "seg_recover".into(),
         ms,
         qpf: 0,
         checkpoints: 0,
@@ -224,7 +200,7 @@ fn run_recover(dir: &TmpDir, segmented: bool) -> CheckpointPoint {
     }
 }
 
-/// Runs both backends' flush and recovery phases.
+/// Runs the flush and recovery phases.
 pub fn measure(scale: Scale) -> CheckpointData {
     let n = match scale {
         Scale::Ci => 1_500,
@@ -234,22 +210,12 @@ pub fn measure(scale: Scale) -> CheckpointData {
     let rounds = scale.queries(60);
     let oracle = dataset(n);
 
-    let mono_dir = TmpDir::new("mono");
-    let seg_dir = TmpDir::new("seg");
-    let mono_flush = run_flush(&mono_dir, &oracle, n, rounds, false);
-    let seg_flush = run_flush(&seg_dir, &oracle, n, rounds, true);
-    let mono_recover = run_recover(&mono_dir, false);
-    let seg_recover = run_recover(&seg_dir, true);
-    assert_eq!(
-        mono_flush.qpf, seg_flush.qpf,
-        "backends must see identical workloads"
-    );
-    assert_eq!(
-        mono_recover.k, seg_recover.k,
-        "both backends must recover the same KB"
-    );
+    let dir = TmpDir::new("seg");
+    let flush = run_flush(&dir, &oracle, n, rounds);
+    let recover = run_recover(&dir);
+    assert_eq!(flush.k, recover.k, "reopen must recover the whole KB");
     CheckpointData {
-        points: vec![mono_flush, seg_flush, mono_recover, seg_recover],
+        points: vec![flush, recover],
         n,
         rounds,
     }
@@ -260,7 +226,7 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
     let data = measure(scale);
     let mut out = String::new();
     out.push_str(&format!(
-        "## checkpoint — monolithic vs segmented rotation, {} rounds × {TOUCH_PER_ROUND} of \
+        "## checkpoint — segmented rotation, {} rounds × {TOUCH_PER_ROUND} of \
          {ATTRS} attrs touched, n = {}\n\n",
         data.rounds, data.n
     ));
@@ -283,12 +249,6 @@ pub fn run_bench(scale: Scale) -> (String, Vec<BenchRow>) {
             p.id, p.checkpoints, bytes, per, p.ms, loaded, p.qpf
         ));
     }
-    let mono = &data.points[0];
-    let seg = &data.points[1];
-    out.push_str(&format!(
-        "\nbytes-per-checkpoint ratio (mono/seg): {:.1}x — the O(delta) win\n",
-        mono.volume as f64 / seg.volume.max(1) as f64
-    ));
 
     let rows = data
         .points

@@ -1,14 +1,15 @@
 //! **shard_commit** — durable commit throughput under write contention:
-//! the coarse single-WAL engine vs the sharded pool with per-shard group
-//! commit (DESIGN.md §13). Not a paper figure — this gates the repo's own
+//! one shard driven under a coarse lock vs the sharded pool with per-shard
+//! group commit (DESIGN.md §13). Not a paper figure — this gates the repo's own
 //! durability layer.
 //!
 //! Eight writer threads hammer eight attributes chosen to land on eight
 //! *distinct* shards, every commit made durable before it is acknowledged:
 //!
-//! * `coarse_w8` — `Mutex<DurableEngine>`: requests serialized end to end,
-//!   one fsync per committed operation (the pre-sharding baseline the
-//!   server's `Backend::Durable` still offers);
+//! * `coarse_w8` — `Mutex<DurableEngine>`: requests serialized end to end
+//!   through one shard's committer, so every group-commit batch holds one
+//!   record and each committed operation pays its own fsync (the
+//!   pre-sharding baseline);
 //! * `sharded_s1_w8` — one shard: evaluation still funnels through one
 //!   lock, but the committer batches concurrent commits into shared fsyncs
 //!   (isolates the group-commit win);
@@ -191,7 +192,7 @@ fn run_coarse(
         ms,
         throughput: commits as f64 / (ms / 1_000.0),
         qpf: oracle.qpf_uses() - qpf_before,
-        // The coarse engine fsyncs once per WAL transaction.
+        // Serialized commits: every batch is one WAL transaction.
         fsyncs: metrics::global().get(Metric::WalTxns) - fsyncs_before,
         k: total_k(engine.engine()),
     }

@@ -1,33 +1,39 @@
-//! Durable, crash-recoverable PRKB: [`DurableEngine`].
+//! Durable, crash-recoverable PRKB: one commit path for every front end.
 //!
 //! A [`PrkbEngine`](crate::engine::PrkbEngine) whose whole value is
 //! *accumulated* (every answered query refines the index, §5.3) must not
-//! lose that accumulation to a process crash. This module wraps the engine
-//! with the storage primitives from [`prkb_edbms::durability`]:
+//! lose that accumulation to a process crash. Durability has exactly one
+//! implementation, the shard-local group-commit pipeline
+//! [`ShardCommitter`]:
 //!
-//! * every committed mutation is journaled as [`RefinementOp`]s and written
-//!   as **one write-ahead-log transaction per committed operation**,
-//!   fsync'd *before* the query result is returned — an acknowledged
-//!   refinement is never lost;
+//! * every committed mutation is journaled as [`RefinementOp`]s, encoded as
+//!   **one write-ahead-log transaction per committed operation**, enqueued,
+//!   and fsync'd (group-committed) *before* the query result is returned —
+//!   an acknowledged refinement is never lost;
 //! * the WAL is **checkpoint-rotated** by policy
 //!   ([`EngineConfig::checkpoint_wal_records`] /
-//!   [`EngineConfig::checkpoint_wal_bytes`]): the full per-attribute
-//!   snapshot ([`snapshot::save`]) is written to a temp file, atomically
-//!   renamed over the previous checkpoint, and only then is a fresh,
-//!   higher-**epoch** WAL started and the stale one removed;
-//! * **recovery** ([`DurableEngine::open`]) loads the last checkpoint,
-//!   replays the matching epoch's WAL, silently discards a torn tail
-//!   (partial final record — the residue of a crash mid-append), and
-//!   refuses to open on mid-log corruption (a bad record *followed by*
-//!   valid ones) — restoring an engine equivalent to some prefix of the
-//!   committed operations, `validate()`d before use.
+//!   [`EngineConfig::checkpoint_wal_bytes`]): the partitions dirtied since
+//!   the last rotation are written as one immutable segment
+//!   ([`crate::lsm`]), a segment manifest at the next **epoch** is swapped
+//!   in atomically, and only then is a fresh WAL started and the stale one
+//!   removed;
+//! * **recovery** opens the segment manifest, replays the matching epoch's
+//!   WAL, silently discards a torn tail (partial final record — the residue
+//!   of a crash mid-append), and refuses to open on mid-log corruption (a
+//!   bad record *followed by* valid ones) — restoring a committed prefix,
+//!   `validate()`d before use. A v1 monolithic `checkpoint.bin` is read
+//!   only as migration input and folded into segment 0 on first open.
 //!
-//! Epochs make the checkpoint/WAL pair crash-consistent without ever
-//! truncating a live log: the checkpoint at epoch `E+1` subsumes
-//! `wal.<E>.log` *by construction* (it serializes the in-memory state that
-//! log produced), so a crash between the checkpoint rename and the old
-//! log's removal cannot double-replay — recovery only ever reads the WAL
-//! whose epoch matches the checkpoint.
+//! [`ShardedDurablePool`] runs one committer per shard; [`DurableEngine`] is
+//! the same `(engine, committer)` pair a pool shard is, driven one
+//! operation at a time, plus lazy partition loading.
+//!
+//! Epochs make the manifest/WAL pair crash-consistent without ever
+//! truncating a live log: the manifest at epoch `E+1` subsumes
+//! `wal.<E>.log` *by construction* (its segments serialize the in-memory
+//! state that log produced), so a crash between the manifest swap and the
+//! old log's removal cannot double-replay — recovery only ever reads the
+//! WAL whose epoch matches the manifest.
 
 use crate::engine::{EngineConfig, PrkbEngine, QueryError};
 use crate::knowledge::{Knowledge, RefinementOp, Separator};
@@ -42,9 +48,7 @@ use crate::shard::ShardMap;
 use crate::snapshot::{self, SnapshotError, WireCodec};
 use crate::storage::{real_fs, StorageFs};
 use crate::traits::SpPredicate;
-use prkb_edbms::durability::{
-    crc32, write_checkpoint_on, CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal,
-};
+use prkb_edbms::durability::{crc32, CrashInjector, CrashPoint, DurabilityError, TailStatus, Wal};
 use prkb_edbms::{AttrId, SelectionOracle, TupleId};
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -54,11 +58,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Checkpoint file name inside the engine directory.
+/// File name of a v1 monolithic checkpoint — read only as migration input.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
-/// Checkpoint magic.
+/// v1 checkpoint magic.
 const CKPT_MAGIC: &[u8; 4] = b"PCKP";
-/// Checkpoint format version.
+/// v1 checkpoint format version.
 const CKPT_VERSION: u16 = 1;
 
 /// Errors raised by the durable engine.
@@ -69,8 +73,9 @@ pub enum DurableError {
     /// The query itself failed (oracle, uninitialized attribute). The
     /// in-memory engine is abort-safe and nothing was logged.
     Query(QueryError),
-    /// The checkpoint file is damaged. Checkpoints are written atomically,
-    /// so damage here is real corruption — the engine refuses to open.
+    /// A v1 `checkpoint.bin` awaiting migration is damaged. It was written
+    /// atomically, so damage here is real corruption — the engine refuses
+    /// to open.
     CorruptCheckpoint(&'static str),
     /// A CRC-valid WAL record failed to decode or to replay cleanly —
     /// corruption that slipped past framing; the engine refuses to open.
@@ -78,8 +83,8 @@ pub enum DurableError {
     /// The sharded-pool manifest is damaged. Like checkpoints it is
     /// written atomically, so damage here is real corruption.
     CorruptManifest(&'static str),
-    /// A segment file or the segment manifest of the LSM-style checkpoint
-    /// backend ([`crate::lsm`]) is damaged: torn framing, a CRC-failing
+    /// A segment file or the segment manifest of the checkpoint store
+    /// ([`crate::lsm`]) is damaged: torn framing, a CRC-failing
     /// block, or a manifest referencing a missing segment. Published
     /// segments are immutable and manifests swap atomically, so damage
     /// here is real corruption, never crash residue.
@@ -141,7 +146,7 @@ impl From<SnapshotError> for DurableError {
 /// What [`DurableEngine::open`] found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Whether a checkpoint was loaded (false ⇒ cold directory or
+    /// Whether a segment manifest was found (false ⇒ cold directory or
     /// WAL-only recovery from epoch 0).
     pub checkpoint_loaded: bool,
     /// Committed WAL transactions replayed on top of the checkpoint.
@@ -150,13 +155,13 @@ pub struct RecoveryReport {
     pub tail: TailStatus,
     /// The active checkpoint/WAL epoch.
     pub epoch: u64,
-    /// Segmented backend: live segment files referenced by the manifest
-    /// (0 for the monolithic backend or a cold directory).
+    /// Live segment files referenced by the manifest (0 for a cold
+    /// directory).
     pub segments_live: u64,
-    /// Segmented backend: partitions actually deserialized during
-    /// recovery — only those the WAL tail touched. Everything else stays
-    /// on disk until a query asks for it, which is what keeps restart
-    /// cost O(manifest + tail) instead of O(KB).
+    /// Partitions actually deserialized during recovery — only those the
+    /// WAL tail touched. Everything else stays on disk until a query asks
+    /// for it, which is what keeps restart cost O(manifest + tail) instead
+    /// of O(KB).
     pub partitions_loaded: u64,
 }
 
@@ -391,36 +396,15 @@ pub fn decode_txn<P: WireCodec>(bytes: &[u8]) -> Result<Vec<TxnEntry<P>>, Durabl
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec: checkpoints
+// v1 checkpoints (migration input only)
 // ---------------------------------------------------------------------------
-
-/// Serializes the full engine state:
-/// `"PCKP" | version u16 | epoch u64 | n_attrs u32 |`
-/// `(attr u32 | len u64 | snapshot bytes)* | crc32 u32` — the checksum
-/// covers everything before it.
-fn encode_checkpoint<P: SpPredicate + WireCodec>(engine: &PrkbEngine<P>, epoch: u64) -> Vec<u8> {
-    let mut attrs: Vec<AttrId> = engine.attrs().collect();
-    attrs.sort_unstable();
-    let mut out = Vec::new();
-    out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
-    for attr in attrs {
-        let snap = snapshot::save(engine.knowledge(attr).expect("attr enumerated above"));
-        out.extend_from_slice(&attr.to_le_bytes());
-        out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-        out.extend_from_slice(&snap);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
 
 /// Restored checkpoint payload: epoch + per-attribute knowledge.
 pub(crate) type CheckpointState<P> = (u64, Vec<(AttrId, Knowledge<P>)>);
 
-/// Parses a checkpoint file: `(epoch, per-attribute knowledge)`.
+/// Parses a v1 checkpoint file: `"PCKP" | version u16 | epoch u64 |
+/// n_attrs u32 | (attr u32 | len u64 | snapshot bytes)* | crc32 u32`, the
+/// checksum covering everything before it.
 pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
     bytes: &[u8],
 ) -> Result<CheckpointState<P>, DurableError> {
@@ -468,7 +452,7 @@ pub(crate) fn decode_checkpoint<P: SpPredicate + WireCodec>(
 }
 
 // ---------------------------------------------------------------------------
-// The durable engine
+// Recovery
 // ---------------------------------------------------------------------------
 
 pub(crate) fn wal_name(epoch: u64) -> String {
@@ -486,44 +470,42 @@ fn remove_stale(fs: &dyn StorageFs, path: &Path) -> Result<(), DurableError> {
     }
 }
 
-/// Bumps the storage-failure counters for an error that is about to poison
-/// a handle: every poison transition counts once, sync-class failures
-/// additionally count as `sync_failures`.
-fn note_poison(e: &DurableError) {
-    let m = crate::metrics::global();
-    m.add(Metric::WalPoisoned, 1);
-    if matches!(e, DurableError::Storage(DurabilityError::SyncFailed(_))) {
-        m.add(Metric::SyncFailures, 1);
-    }
-}
-
-/// The sync-failure reason inside `e`, when it is one.
-fn sync_reason(e: &DurableError) -> Option<String> {
-    match e {
-        DurableError::Storage(DurabilityError::SyncFailed(why)) => Some(why.clone()),
-        _ => None,
-    }
-}
-
-/// Result of [`recover_dir`]: the rebuilt engine, the live WAL, and what
-/// recovery found on disk.
-struct RecoveredDir<P> {
+/// Result of [`recover_shard`]: the rebuilt engine, the committer armed on
+/// the live WAL, and what recovery found on disk.
+struct RecoveredShard<P> {
     engine: PrkbEngine<P>,
-    wal: Wal,
+    committer: ShardCommitter<P>,
     report: RecoveryReport,
-    /// Segmented backend: the open read handle over the live segment set
-    /// (`None` under the monolithic backend or on a cold directory).
+    /// The open read handle over the live segment set (`None` on a cold
+    /// directory).
     store: Option<SegmentStore>,
     /// Attrs whose newest version lives only in `store` — present in its
     /// index but never touched by the WAL tail, so never deserialized.
     unloaded: Vec<AttrId>,
 }
 
-/// Folds a monolithic v1 `checkpoint.bin` into segment 0 plus a manifest
+/// Deserializes `attr`'s stored partition from the segment store, with
+/// journaling armed: `restore_attr` leaves the partition clean, so only
+/// refinements after the load dirty it or reach the WAL. `None` when the
+/// store holds no version of `attr`.
+fn load_partition<P: SpPredicate + WireCodec>(
+    store: &SegmentStore,
+    attr: AttrId,
+) -> Result<Option<Knowledge<P>>, DurableError> {
+    let Some(bytes) = store.load_attr(attr)? else {
+        return Ok(None);
+    };
+    let mut kb: Knowledge<P> = snapshot::load(&bytes)
+        .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
+    kb.set_recording(true);
+    Ok(Some(kb))
+}
+
+/// Folds a v1 monolithic `checkpoint.bin` into segment 0 plus a manifest
 /// at the same epoch, so a directory written before segmented checkpoints
-/// upgrades in place on its first segmented open. The caller removes the
-/// checkpoint file after this returns; a crash in between just re-runs the
-/// removal on the next open (the manifest already won).
+/// upgrades in place on its first open. The caller removes the checkpoint
+/// file after this returns; a crash in between just re-runs the removal on
+/// the next open (the manifest already won).
 fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
     fs: &dyn StorageFs,
     dir: &Path,
@@ -552,22 +534,22 @@ fn migrate_v1_checkpoint<P: SpPredicate + WireCodec>(
     Ok(())
 }
 
-/// The shared recovery routine: load the checkpoint (monolithic file or
-/// segment manifest), open or create the matching epoch's WAL, replay its
-/// committed transactions, validate every attribute, and drop stale-epoch
-/// logs. Used by both the coarse [`DurableEngine`] and each shard of a
-/// [`ShardedDurablePool`].
+/// The one recovery routine every durable front end opens through (each
+/// shard of a [`ShardedDurablePool`], and the one shard a
+/// [`DurableEngine`] is): migrate a waiting v1 checkpoint, open the segment
+/// manifest, open or create the matching epoch's WAL, replay its committed
+/// transactions, validate every attribute, drop stale-epoch logs, and arm
+/// a committer on the live WAL.
 ///
-/// Under the segmented backend only the partitions the WAL tail touches
-/// are deserialized; everything else stays on disk behind the returned
-/// [`SegmentStore`], which is what keeps restart cost O(manifest + tail)
-/// instead of O(KB).
-fn recover_dir<P: SpPredicate + WireCodec>(
-    fs: &Arc<dyn StorageFs>,
+/// Only the partitions the WAL tail touches are deserialized; everything
+/// else stays on disk behind the returned [`SegmentStore`], which is what
+/// keeps restart cost O(manifest + tail) instead of O(KB).
+fn recover_shard<P: SpPredicate + WireCodec>(
+    fs: Arc<dyn StorageFs>,
     dir: &Path,
     config: EngineConfig,
-    crash: &CrashInjector,
-) -> Result<RecoveredDir<P>, DurableError> {
+    crash: CrashInjector,
+) -> Result<RecoveredShard<P>, DurableError> {
     let started = Instant::now();
     fs.create_dir_all(dir).map_err(DurabilityError::Io)?;
     // Leftover temp files are writes whose publishing rename never
@@ -586,45 +568,18 @@ fn recover_dir<P: SpPredicate + WireCodec>(
         }
     }
 
-    let has_segment_manifest = fs.exists(&dir.join(SEGMENT_MANIFEST_FILE));
-    if has_segment_manifest && !config.segmented_checkpoints {
-        // Refusing here is load-bearing: the monolithic path below would
-        // settle on epoch 0 and its stale-epoch sweep would delete the
-        // segmented store's live WAL — silent data loss, not a recovery.
-        return Err(DurableError::CorruptSegment(
-            "directory holds a segmented store but segmented_checkpoints is off",
-        ));
+    let ckpt_path = dir.join(CHECKPOINT_FILE);
+    if !fs.exists(&dir.join(SEGMENT_MANIFEST_FILE)) && fs.exists(&ckpt_path) {
+        migrate_v1_checkpoint::<P>(fs.as_ref(), dir, &crash)?;
     }
+    // Superseded by the manifest — either by the migration above or by one
+    // an earlier open crashed out of before this removal.
+    remove_stale(fs.as_ref(), &ckpt_path)?;
+    let store = SegmentStore::open(Arc::clone(&fs), dir)?;
+    let epoch = store.as_ref().map_or(0, |s| s.manifest().epoch);
 
     let mut engine = PrkbEngine::new(config);
-    let ckpt_path = dir.join(CHECKPOINT_FILE);
-    let mut epoch = 0u64;
-    let mut checkpoint_loaded = false;
     let mut partitions_loaded = 0u64;
-    let mut store: Option<SegmentStore> = None;
-    if config.segmented_checkpoints {
-        if !has_segment_manifest && fs.exists(&ckpt_path) {
-            migrate_v1_checkpoint::<P>(fs.as_ref(), dir, crash)?;
-        }
-        // Superseded by the manifest — either by the migration above or by
-        // one an earlier open crashed out of before this removal.
-        remove_stale(fs.as_ref(), &ckpt_path)?;
-        store = SegmentStore::open(Arc::clone(fs), dir)?;
-        if let Some(s) = &store {
-            epoch = s.manifest().epoch;
-            checkpoint_loaded = true;
-        }
-    } else if fs.exists(&ckpt_path) {
-        let bytes = fs.read(&ckpt_path).map_err(DurabilityError::Io)?;
-        let (e, kbs) = decode_checkpoint::<P>(&bytes)?;
-        epoch = e;
-        partitions_loaded = kbs.len() as u64;
-        for (attr, kb) in kbs {
-            engine.restore_attr(attr, kb);
-        }
-        checkpoint_loaded = true;
-    }
-
     let wal_path = dir.join(wal_name(epoch));
     let (wal, payloads, tail) = if fs.exists(&wal_path) {
         Wal::open_on(fs.as_ref(), &wal_path, crash.clone())?
@@ -642,22 +597,14 @@ fn recover_dir<P: SpPredicate + WireCodec>(
                 TxnEntry::Init { attr, n } => engine.init_attr(attr, n as usize),
                 TxnEntry::Op { attr, op } => {
                     if engine.knowledge(attr).is_none() {
-                        if let Some(bytes) = store
-                            .as_ref()
-                            .map(|s| s.load_attr(attr))
-                            .transpose()?
-                            .flatten()
-                        {
-                            let mut kb: Knowledge<P> = snapshot::load(&bytes).map_err(|_| {
-                                DurableError::CorruptSegment("stored partition snapshot")
-                            })?;
-                            // Arm journaling before attaching: restore_attr
-                            // leaves the partition clean, and the replayed
-                            // ops below (via knowledge_mut) are exactly its
-                            // divergence from the stored version.
-                            kb.set_recording(true);
-                            engine.restore_attr(attr, kb);
-                            partitions_loaded += 1;
+                        // The replayed ops below (via knowledge_mut) are
+                        // exactly this partition's divergence from the
+                        // stored version.
+                        if let Some(store) = &store {
+                            if let Some(kb) = load_partition(store, attr)? {
+                                engine.restore_attr(attr, kb);
+                                partitions_loaded += 1;
+                            }
                         }
                     }
                     engine
@@ -677,7 +624,7 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     }
 
     // Stale epochs (left by a crash inside checkpoint rotation) are
-    // subsumed by the checkpoint; drop them. Enumeration and removal
+    // subsumed by the manifest; drop them. Enumeration and removal
     // failures surface — silently keeping a stale log would replay it
     // against the wrong checkpoint on some future recovery.
     for path in fs.read_dir(dir).map_err(DurabilityError::Io)? {
@@ -715,11 +662,30 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     if store.is_some() {
         m.set(Metric::SegmentsLive, segments_live);
     }
-    Ok(RecoveredDir {
+    let durable = wal.records();
+    let committer = ShardCommitter {
+        state: Mutex::new(CommitterState {
+            wal: Some(wal),
+            epoch,
+            pending: Vec::new(),
+            next_seq: durable + 1,
+            durable_seq: durable,
+            poisoned: false,
+            sync_poison: None,
+        }),
+        cv: Condvar::new(),
+        crash,
+        dir: dir.to_path_buf(),
+        fs,
+        group_records: config.group_commit_records.max(1),
+        max_wait: Duration::from_micros(config.group_commit_max_wait_us),
+        _pred: PhantomData,
+    };
+    Ok(RecoveredShard {
         engine,
-        wal,
+        committer,
         report: RecoveryReport {
-            checkpoint_loaded,
+            checkpoint_loaded: store.is_some(),
             records_replayed,
             tail,
             epoch,
@@ -731,9 +697,9 @@ fn recover_dir<P: SpPredicate + WireCodec>(
     })
 }
 
-/// Segmented checkpoint: writes the engine's dirtied partitions as one new
-/// segment and swaps in a manifest at `next_epoch` that appends it to the
-/// live set. Writes O(dirty) bytes, never O(KB). An empty dirty set still
+/// Checkpoint: writes the engine's dirtied partitions as one new segment
+/// and swaps in a manifest at `next_epoch` that appends it to the live
+/// set. Writes O(dirty) bytes, never O(KB). An empty dirty set still
 /// publishes an (empty) segment so epoch, manifest, and WAL rotate in
 /// lockstep.
 fn flush_segments<P: SpPredicate + WireCodec>(
@@ -771,9 +737,20 @@ fn flush_segments<P: SpPredicate + WireCodec>(
     Ok(())
 }
 
+// ---------------------------------------------------------------------------
+// The durable engine: one shard, one operation at a time
+// ---------------------------------------------------------------------------
+
 /// A [`PrkbEngine`] whose every committed mutation is made durable before
 /// the covering result is returned, and which recovers that state on
 /// [`open`](Self::open).
+///
+/// It is exactly one pool shard — a recovered `(engine, committer)` pair —
+/// driven one operation at a time: engine op → enqueue the journaled ops →
+/// wait until durable → rotate the checkpoint if the policy asks. Unlike a
+/// pool shard it keeps partitions lazy: after a reopen only the partitions
+/// the WAL tail touched are in memory, the rest load from the segment
+/// store on first touch.
 ///
 /// All query entry points mirror the engine's fallible API
 /// (`try_select*` / `try_insert` / `delete`), with one extra failure mode:
@@ -784,18 +761,9 @@ fn flush_segments<P: SpPredicate + WireCodec>(
 #[derive(Debug)]
 pub struct DurableEngine<P> {
     engine: PrkbEngine<P>,
-    wal: Wal,
-    dir: PathBuf,
-    epoch: u64,
-    crash: CrashInjector,
-    fs: Arc<dyn StorageFs>,
-    poisoned: bool,
-    /// When the poisoning failure was a sync failure, its reason — later
-    /// calls surface it as [`DurabilityError::SyncFailed`] rather than the
-    /// generic [`DurableError::Poisoned`].
-    sync_poison: Option<String>,
-    /// Segmented backend: the open read handle over the live segment set
-    /// (`None` under the monolithic backend).
+    committer: ShardCommitter<P>,
+    /// The open read handle over the live segment set (`None` on a
+    /// directory that has never checkpointed).
     store: Option<SegmentStore>,
     /// Attrs whose newest version lives only in `store`, materialized on
     /// first touch — what lets a KB bigger than RAM open instantly.
@@ -808,9 +776,14 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
     /// `PRKB_CRASH_POINT` environment variable (unset ⇒ disabled).
     ///
     /// # Errors
-    /// Storage errors, plus [`DurableError::CorruptCheckpoint`] /
-    /// [`DurableError::CorruptWal`] when the on-disk state is damaged
-    /// beyond the torn-tail case (which is silently discarded).
+    /// Storage errors, plus [`DurableError::CorruptSegment`] /
+    /// [`DurableError::CorruptWal`] / [`DurableError::CorruptCheckpoint`]
+    /// when the on-disk state is damaged beyond the torn-tail case (which
+    /// is silently discarded).
+    ///
+    /// # Panics
+    /// When `PRKB_CRASH_POINT` is set but malformed (see
+    /// [`CrashInjector::from_env`]).
     pub fn open(dir: &Path, config: EngineConfig) -> Result<(Self, RecoveryReport), DurableError> {
         Self::open_with_crash(dir, config, CrashInjector::from_env())
     }
@@ -833,28 +806,20 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
         crash: CrashInjector,
         fs: Arc<dyn StorageFs>,
     ) -> Result<(Self, RecoveryReport), DurableError> {
-        let recovered = recover_dir::<P>(&fs, dir, config, &crash)?;
-        let epoch = recovered.report.epoch;
+        let shard = recover_shard::<P>(fs, dir, config, crash)?;
         Ok((
             DurableEngine {
-                engine: recovered.engine,
-                wal: recovered.wal,
-                dir: dir.to_path_buf(),
-                epoch,
-                crash,
-                fs,
-                poisoned: false,
-                sync_poison: None,
-                store: recovered.store,
-                unloaded: recovered.unloaded.into_iter().collect(),
+                engine: shard.engine,
+                committer: shard.committer,
+                store: shard.store,
+                unloaded: shard.unloaded.into_iter().collect(),
             },
-            recovered.report,
+            shard.report,
         ))
     }
 
-    /// The wrapped engine (read-only introspection). Under the segmented
-    /// backend, partitions not yet materialized from the segment store are
-    /// invisible here — call
+    /// The wrapped engine (read-only introspection). Partitions not yet
+    /// materialized from the segment store are invisible here — call
     /// [`ensure_all_loaded`](Self::ensure_all_loaded) first when comparing
     /// whole-KB state.
     pub fn engine(&self) -> &PrkbEngine<P> {
@@ -867,203 +832,99 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
             return Ok(());
         }
         let store = self.store.as_ref().expect("unloaded attrs imply a store");
-        let bytes = store.load_attr(attr)?.ok_or(DurableError::CorruptSegment(
+        let kb = load_partition(store, attr)?.ok_or(DurableError::CorruptSegment(
             "unloaded attr missing from store",
         ))?;
-        let mut kb: Knowledge<P> = snapshot::load(&bytes)
-            .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
-        // Arm journaling before attaching: restore_attr leaves the
-        // partition clean, and only post-load refinements should dirty it
-        // or reach the WAL.
-        kb.set_recording(true);
         self.engine.restore_attr(attr, kb);
         self.unloaded.remove(&attr);
         Ok(())
     }
 
-    fn ensure_all(&mut self) -> Result<(), DurableError> {
-        while let Some(attr) = self.unloaded.iter().next().copied() {
-            self.ensure_attr(attr)?;
-        }
-        Ok(())
-    }
-
-    /// Loads every still-lazy partition from the segment store (no-op on
-    /// the monolithic backend). Whole-KB introspection and state
-    /// comparisons need this; per-predicate queries materialize only what
-    /// they touch.
+    /// Loads every still-lazy partition from the segment store. Whole-KB
+    /// introspection and state comparisons need this; per-predicate
+    /// queries materialize only what they touch.
     ///
     /// # Errors
     /// [`DurableError::CorruptSegment`] when a stored partition fails its
     /// CRC or snapshot decode.
     pub fn ensure_all_loaded(&mut self) -> Result<(), DurableError> {
-        self.ensure_all()
+        while let Some(attr) = self.unloaded.first().copied() {
+            self.ensure_attr(attr)?;
+        }
+        Ok(())
     }
 
-    /// Attrs still waiting in the segment store, not yet deserialized
-    /// (always empty on the monolithic backend).
+    /// Attrs still waiting in the segment store, not yet deserialized.
     pub fn unloaded_attrs(&self) -> Vec<AttrId> {
         self.unloaded.iter().copied().collect()
     }
 
     /// The active checkpoint/WAL epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.committer.epoch()
     }
 
     /// Records in the active WAL (each = one committed operation).
     pub fn wal_records(&self) -> u64 {
-        self.wal.records()
+        self.committer.wal_records()
     }
 
     /// Whether an earlier durability failure poisoned this handle.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.committer.is_poisoned()
     }
 
     fn check_poison(&self) -> Result<(), DurableError> {
-        if let Some(why) = &self.sync_poison {
-            Err(DurableError::Storage(DurabilityError::SyncFailed(
-                why.clone(),
-            )))
-        } else if self.poisoned {
-            Err(DurableError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn poison_with(&mut self, e: &DurableError) {
-        if !self.poisoned {
-            note_poison(e);
-        }
-        self.poisoned = true;
-        if self.sync_poison.is_none() {
-            self.sync_poison = sync_reason(e);
-        }
+        self.committer.poison_error().map_or(Ok(()), Err)
     }
 
     /// Integrity-scrubs this engine's directory (see [`crate::scrub`]).
     /// With `quarantine`, hard-corrupt files are moved into `quarantine/`
     /// — never do that on a directory another live handle is using.
     pub fn scrub(&self, quarantine: bool) -> crate::scrub::ScrubReport {
-        crate::scrub::scrub_engine_dir::<P>(self.fs.as_ref(), &self.dir, quarantine)
+        crate::scrub::scrub_engine_dir::<P>(
+            self.committer.fs.as_ref(),
+            &self.committer.dir,
+            quarantine,
+        )
     }
 
-    /// Drains the journaled ops of the operation that just committed
-    /// in-memory and makes them durable as one WAL transaction, then
-    /// rotates the checkpoint if the policy says so. Every committed
-    /// operation writes exactly one record — also when it refined nothing —
-    /// so the WAL record count equals the committed-operation count.
-    fn commit(&mut self) -> Result<(), DurableError> {
+    /// Makes `entries` durable as one WAL transaction, then rotates the
+    /// checkpoint if the policy says so.
+    fn commit(&mut self, entries: &[TxnEntry<P>]) -> Result<(), DurableError> {
+        let ticket = self.committer.enqueue(encode_txn(entries));
+        self.committer.wait_durable(ticket)?;
+        if self.committer.wants_checkpoint(&self.engine.config) {
+            self.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Commits the journaled ops of the operation that just ran in memory.
+    /// Every committed operation writes exactly one record — also when it
+    /// refined nothing — so the WAL record count equals the
+    /// committed-operation count.
+    fn commit_ops(&mut self) -> Result<(), DurableError> {
         let entries: Vec<TxnEntry<P>> = self
             .engine
             .take_ops()
             .into_iter()
             .map(|(attr, op)| TxnEntry::Op { attr, op })
             .collect();
-        self.log_txn(&entries)
+        self.commit(&entries)
     }
 
-    fn log_txn(&mut self, entries: &[TxnEntry<P>]) -> Result<(), DurableError> {
-        let payload = encode_txn(entries);
-        let bytes_before = self.wal.bytes();
-        if let Err(e) = self.wal.append(&payload) {
-            // In-memory state is ahead of the log now; only a reopen can
-            // re-establish the memory == disk-prefix invariant.
-            let e = DurableError::from(e);
-            self.poison_with(&e);
-            return Err(e);
-        }
-        crate::metrics::global().record_wal_txn(self.wal.bytes().saturating_sub(bytes_before));
-        self.maybe_checkpoint()
-    }
-
-    fn maybe_checkpoint(&mut self) -> Result<(), DurableError> {
-        let by_records = self.engine.config.checkpoint_wal_records;
-        let by_bytes = self.engine.config.checkpoint_wal_bytes;
-        if (by_records > 0 && self.wal.records() >= by_records)
-            || (by_bytes > 0 && self.wal.bytes() >= by_bytes)
-        {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Forces a checkpoint rotation.
-    ///
-    /// Monolithic backend: snapshot → temp file → fsync → atomic rename →
-    /// fresh higher-epoch WAL → stale WAL removed. Segmented backend
-    /// ([`EngineConfig::segmented_checkpoints`]): only the partitions
-    /// dirtied since the last rotation are written, as one immutable
-    /// segment appended to the manifest — O(delta), not O(KB) — and the
-    /// segment set is folded down when it crosses
-    /// [`EngineConfig::compact_segment_threshold`]. A crash at any
-    /// boundary recovers: before the publishing rename the old state is
-    /// intact; after it the new checkpoint subsumes the old WAL.
+    /// Forces a checkpoint rotation (see [`ShardCommitter::checkpoint`]):
+    /// only the partitions dirtied since the last rotation are written.
     ///
     /// # Errors
     /// Any storage failure poisons the handle (disk state is still a
     /// consistent committed prefix; reopen to resume).
     pub fn checkpoint(&mut self) -> Result<(), DurableError> {
-        self.check_poison()?;
-        let next = self.epoch + 1;
-        let fs = Arc::clone(&self.fs);
-        let segmented = self.engine.config.segmented_checkpoints;
-        let result: Result<(), DurableError> = (|| {
-            if segmented {
-                flush_segments(fs.as_ref(), &self.dir, &self.engine, next, &self.crash)?;
-            } else {
-                let payload = encode_checkpoint(&self.engine, next);
-                write_checkpoint_on(
-                    fs.as_ref(),
-                    &self.dir,
-                    CHECKPOINT_FILE,
-                    &payload,
-                    &self.crash,
-                )?;
-            }
-            let new_wal = Wal::create_on(
-                fs.as_ref(),
-                &self.dir.join(wal_name(next)),
-                self.crash.clone(),
-            )?;
-            self.crash.fire(CrashPoint::BeforeWalRetire)?;
-            let old_path = self.wal.path().to_path_buf();
-            self.wal = new_wal;
-            self.epoch = next;
-            self.engine.clear_dirty();
-            remove_stale(fs.as_ref(), &old_path)?;
-            self.crash.fire(CrashPoint::AfterWalRetire)?;
-            if segmented {
-                self.maybe_compact(&fs)?;
-            }
-            Ok(())
-        })();
-        match &result {
-            Err(e) => self.poison_with(e),
-            Ok(()) => crate::metrics::global().add(crate::metrics::Metric::Checkpoints, 1),
-        }
-        result
-    }
-
-    /// Folds the segment set once it reaches the configured threshold,
-    /// then refreshes the read handle the lazy loads go through (the
-    /// folded files are gone after a compaction).
-    fn maybe_compact(&mut self, fs: &Arc<dyn StorageFs>) -> Result<(), DurableError> {
-        let threshold = self.engine.config.compact_segment_threshold;
-        if threshold == 0 {
-            return Ok(());
-        }
-        let live =
-            read_segment_manifest(fs.as_ref(), &self.dir)?.map_or(0, |m| m.segments.len() as u64);
-        if live < threshold {
-            return Ok(());
-        }
-        compact_dir(fs, &self.dir, &self.crash)?;
-        self.store = SegmentStore::open(Arc::clone(fs), &self.dir)?;
-        if let Some(s) = &self.store {
-            crate::metrics::global().set(Metric::SegmentsLive, s.segments_live() as u64);
+        let compacted = self.committer.rotate(&mut self.engine)?;
+        if compacted && !self.unloaded.is_empty() {
+            // The fold deleted the segment files the lazy handle reads.
+            self.store = SegmentStore::open(Arc::clone(&self.committer.fs), &self.committer.dir)?;
         }
         Ok(())
     }
@@ -1082,7 +943,7 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
         self.engine.init_attr(attr, n);
         // The fresh knowledge base starts with journaling off; re-arm it.
         self.engine.set_recording(true);
-        self.log_txn(&[TxnEntry::Init { attr, n: n as u64 }])
+        self.commit(&[TxnEntry::Init { attr, n: n as u64 }])
     }
 
     /// Durable single-predicate selection: the refinement this query made
@@ -1104,7 +965,7 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
         self.check_poison()?;
         self.ensure_attr(pred.attr())?;
         let sel = self.engine.try_select(oracle, pred, rng)?;
-        self.commit()?;
+        self.commit_ops()?;
         Ok(sel)
     }
 
@@ -1128,7 +989,7 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
             self.ensure_attr(pred.attr())?;
         }
         let sel = self.engine.try_select_conjunction(oracle, preds, rng)?;
-        self.commit()?;
+        self.commit_ops()?;
         Ok(sel)
     }
 
@@ -1152,7 +1013,7 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
             self.ensure_attr(dim[0].attr())?;
         }
         let sel = self.engine.try_select_range_md(oracle, dims, rng)?;
-        self.commit()?;
+        self.commit_ops()?;
         Ok(sel)
     }
 
@@ -1176,7 +1037,7 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
             self.ensure_attr(dim[0].attr())?;
         }
         let sel = self.engine.try_select_range_sdplus(oracle, dims, rng)?;
-        self.commit()?;
+        self.commit_ops()?;
         Ok(sel)
     }
 
@@ -1194,9 +1055,9 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
     {
         self.check_poison()?;
         // Inserts and deletes touch every attribute's partitions.
-        self.ensure_all()?;
+        self.ensure_all_loaded()?;
         let outcomes = self.engine.try_insert(oracle, t)?;
-        self.commit()?;
+        self.commit_ops()?;
         Ok(outcomes)
     }
 
@@ -1206,9 +1067,9 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
     /// Storage failures (which poison the handle).
     pub fn delete(&mut self, t: TupleId) -> Result<(), DurableError> {
         self.check_poison()?;
-        self.ensure_all()?;
+        self.ensure_all_loaded()?;
         self.engine.delete(t);
-        self.commit()
+        self.commit_ops()
     }
 }
 
@@ -1266,12 +1127,45 @@ struct CommitterState {
     sync_poison: Option<String>,
 }
 
-/// The error a poisoned committer hands every caller: the sync-failure
-/// reason when the disk lied, the generic poisoned marker otherwise.
-fn poisoned_err(st: &CommitterState) -> DurableError {
-    match &st.sync_poison {
-        Some(why) => DurableError::Storage(DurabilityError::SyncFailed(why.clone())),
-        None => DurableError::Poisoned,
+impl CommitterState {
+    /// The one poison transition: count it once (sync-class failures also
+    /// as `sync_failures`), mark the shard poisoned, and keep the first
+    /// sync-failure reason so later callers are told their disk lied.
+    fn poison(&mut self, e: &DurableError) {
+        if !self.poisoned {
+            let m = crate::metrics::global();
+            m.add(Metric::WalPoisoned, 1);
+            if matches!(e, DurableError::Storage(DurabilityError::SyncFailed(_))) {
+                m.add(Metric::SyncFailures, 1);
+            }
+        }
+        self.poisoned = true;
+        if let (None, DurableError::Storage(DurabilityError::SyncFailed(why))) =
+            (&self.sync_poison, e)
+        {
+            self.sync_poison = Some(why.clone());
+        }
+    }
+
+    /// The error a poisoned committer hands every caller: the sync-failure
+    /// reason when the disk lied, the generic poisoned marker otherwise.
+    fn poisoned_err(&self) -> DurableError {
+        match &self.sync_poison {
+            Some(why) => DurableError::Storage(DurabilityError::SyncFailed(why.clone())),
+            None => DurableError::Poisoned,
+        }
+    }
+}
+
+impl fmt::Debug for CommitterState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CommitterState")
+            .field("epoch", &self.epoch)
+            .field("pending", &self.pending.len())
+            .field("next_seq", &self.next_seq)
+            .field("durable_seq", &self.durable_seq)
+            .field("poisoned", &self.poisoned)
+            .finish_non_exhaustive()
     }
 }
 
@@ -1306,84 +1200,17 @@ pub struct ShardCommitter<P> {
     _pred: PhantomData<fn() -> P>,
 }
 
-impl fmt::Debug for CommitterState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CommitterState")
-            .field("epoch", &self.epoch)
-            .field("pending", &self.pending.len())
-            .field("next_seq", &self.next_seq)
-            .field("durable_seq", &self.durable_seq)
-            .field("poisoned", &self.poisoned)
-            .finish_non_exhaustive()
-    }
-}
-
 impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
-    /// Opens (or creates) one shard directory, recovering its engine from
-    /// checkpoint + WAL replay exactly like [`DurableEngine::open`], and
-    /// returns the recovered engine alongside the committer that will make
-    /// its future mutations durable.
-    ///
-    /// # Errors
-    /// As [`DurableEngine::open`].
-    pub fn open(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-    ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        Self::open_with_storage(dir, config, crash, real_fs())
-    }
-
-    /// [`open`](Self::open) on an arbitrary [`StorageFs`].
-    pub fn open_with_storage(
-        dir: &Path,
-        config: EngineConfig,
-        crash: CrashInjector,
-        fs: Arc<dyn StorageFs>,
-    ) -> Result<(PrkbEngine<P>, Self, RecoveryReport), DurableError> {
-        let recovered = recover_dir::<P>(&fs, dir, config, &crash)?;
-        let durable = recovered.wal.records();
-        let mut engine = recovered.engine;
-        // Shard engines are handed out by value and the session scheduler
-        // moves partitions between worker footprints with detach/attach, so
-        // a shard cannot carry lazy holes the way DurableEngine can:
-        // hydrate everything the segment store holds before handing the
-        // engine out. The recovery *replay* above still deserialized only
-        // the WAL-touched partitions (what the report counts).
-        if let Some(store) = &recovered.store {
-            for attr in recovered.unloaded {
-                let bytes = store.load_attr(attr)?.ok_or(DurableError::CorruptSegment(
-                    "unloaded attr missing from store",
-                ))?;
-                let mut kb: Knowledge<P> = snapshot::load(&bytes)
-                    .map_err(|_| DurableError::CorruptSegment("stored partition snapshot"))?;
-                kb.set_recording(true);
-                engine.restore_attr(attr, kb);
-            }
-        }
-        let committer = ShardCommitter {
-            state: Mutex::new(CommitterState {
-                wal: Some(recovered.wal),
-                epoch: recovered.report.epoch,
-                pending: Vec::new(),
-                next_seq: durable + 1,
-                durable_seq: durable,
-                poisoned: false,
-                sync_poison: None,
-            }),
-            cv: Condvar::new(),
-            crash,
-            dir: dir.to_path_buf(),
-            fs,
-            group_records: config.group_commit_records.max(1),
-            max_wait: Duration::from_micros(config.group_commit_max_wait_us),
-            _pred: PhantomData,
-        };
-        Ok((engine, committer, recovered.report))
-    }
-
     fn lock(&self) -> MutexGuard<'_, CommitterState> {
         self.state.lock().expect("committer lock poisoned")
+    }
+
+    /// Poisons the shard with `e`, wakes every waiter so each sees the
+    /// poison, and hands `e` back for the caller to return.
+    fn fail(&self, st: &mut CommitterState, e: DurableError) -> DurableError {
+        st.poison(&e);
+        self.cv.notify_all();
+        e
     }
 
     /// Enqueues one encoded WAL transaction ([`encode_txn`]) for the next
@@ -1423,7 +1250,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
                 return Ok((ticket.epoch, ticket.seq));
             }
             if st.poisoned {
-                return Err(poisoned_err(&st));
+                return Err(st.poisoned_err());
             }
             if st.wal.is_some() {
                 // The WAL is idle: lead now. Delaying would add latency
@@ -1484,20 +1311,34 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
                 self.cv.notify_all();
                 Ok(st)
             }
-            Err(e) => {
-                // The WAL handle is dropped: its file may hold a torn or
-                // unsynced suffix. Recovery discards that suffix and lands
-                // on the committed prefix. Queued waiters all get the
-                // poison error — never a durable ack for a failed fsync.
-                if !st.poisoned {
-                    note_poison(&e);
+            // The WAL handle is dropped: its file may hold a torn or
+            // unsynced suffix. Recovery discards that suffix and lands on
+            // the committed prefix. Queued waiters all get the poison
+            // error — never a durable ack for a failed fsync.
+            Err(e) => Err(self.fail(&mut st, e)),
+        }
+    }
+
+    /// Leads flushes until nothing is pending and the WAL is idle, and
+    /// returns with the lock held in that state.
+    fn drain<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, CommitterState>,
+    ) -> Result<MutexGuard<'a, CommitterState>, DurableError> {
+        loop {
+            if st.poisoned {
+                return Err(st.poisoned_err());
+            }
+            match &st.wal {
+                Some(_) if st.pending.is_empty() => return Ok(st),
+                Some(_) => st = self.lead_flush(st)?,
+                None => {
+                    st = self
+                        .cv
+                        .wait_timeout(st, Duration::from_millis(50))
+                        .expect("committer lock poisoned")
+                        .0;
                 }
-                st.poisoned = true;
-                if st.sync_poison.is_none() {
-                    st.sync_poison = sync_reason(&e);
-                }
-                self.cv.notify_all();
-                Err(e)
             }
         }
     }
@@ -1509,23 +1350,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// # Errors
     /// [`DurableError::Poisoned`] if this or an earlier flush failed.
     pub fn flush(&self) -> Result<(), DurableError> {
-        let mut st = self.lock();
-        loop {
-            if st.poisoned {
-                return Err(poisoned_err(&st));
-            }
-            match &st.wal {
-                Some(_) if st.pending.is_empty() => return Ok(()),
-                Some(_) => st = self.lead_flush(st)?,
-                None => {
-                    st = self
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("committer lock poisoned")
-                        .0;
-                }
-            }
-        }
+        self.drain(self.lock()).map(drop)
     }
 
     /// Whether the checkpoint policy asks for a rotation (counting both
@@ -1541,52 +1366,32 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
         (by_records > 0 && records >= by_records) || (by_bytes > 0 && wal.bytes() >= by_bytes)
     }
 
-    /// Rotates the shard's checkpoint: flush pending, persist `engine`
-    /// (monolithic snapshot, or one O(dirty) segment under
-    /// [`EngineConfig::segmented_checkpoints`]), start a fresh WAL at
-    /// epoch + 1, retire the old log, and reset the sequence. The caller
-    /// must hold the shard's engine lock and guarantee the shard is
-    /// quiescent, so `engine` is exactly the state the flushed WAL
-    /// produced. (`&mut` because a successful segmented rotation clears
-    /// the engine's dirty-partition set.)
+    /// Rotates the shard's checkpoint: flush pending, write one O(dirty)
+    /// segment for `engine` and swap in the manifest at epoch + 1, start a
+    /// fresh WAL at that epoch, retire the old log, reset the sequence, and
+    /// fold the segment set once it reaches
+    /// [`EngineConfig::compact_segment_threshold`]. The caller must hold
+    /// the shard's engine lock and guarantee the shard is quiescent, so
+    /// `engine` is exactly the state the flushed WAL produced. (`&mut`
+    /// because a successful rotation clears the engine's dirty-partition
+    /// set.) A crash at any boundary recovers: before the manifest swap
+    /// the old segment set + WAL are intact; after it the new segment
+    /// subsumes the old WAL.
     ///
     /// # Errors
     /// Storage failures poison the committer (disk keeps a consistent
     /// committed prefix; reopen the pool to resume).
     pub fn checkpoint(&self, engine: &mut PrkbEngine<P>) -> Result<(), DurableError> {
-        let mut st = self.lock();
-        loop {
-            if st.poisoned {
-                return Err(poisoned_err(&st));
-            }
-            match &st.wal {
-                Some(_) if st.pending.is_empty() => break,
-                Some(_) => st = self.lead_flush(st)?,
-                None => {
-                    st = self
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("committer lock poisoned")
-                        .0;
-                }
-            }
-        }
+        self.rotate(engine).map(drop)
+    }
 
+    /// [`checkpoint`](Self::checkpoint), reporting whether the rotation
+    /// ended in a compaction (which deletes the folded segment files).
+    fn rotate(&self, engine: &mut PrkbEngine<P>) -> Result<bool, DurableError> {
+        let mut st = self.drain(self.lock())?;
         let next = st.epoch + 1;
-        let segmented = engine.config.segmented_checkpoints;
-        let result = (|| -> Result<Wal, DurableError> {
-            if segmented {
-                flush_segments(self.fs.as_ref(), &self.dir, engine, next, &self.crash)?;
-            } else {
-                let payload = encode_checkpoint(engine, next);
-                write_checkpoint_on(
-                    self.fs.as_ref(),
-                    &self.dir,
-                    CHECKPOINT_FILE,
-                    &payload,
-                    &self.crash,
-                )?;
-            }
+        let published = (|| -> Result<Wal, DurableError> {
+            flush_segments(self.fs.as_ref(), &self.dir, engine, next, &self.crash)?;
             let new_wal = Wal::create_on(
                 self.fs.as_ref(),
                 &self.dir.join(wal_name(next)),
@@ -1595,117 +1400,58 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             self.crash.fire(CrashPoint::BeforeWalRetire)?;
             Ok(new_wal)
         })();
-        match result {
-            Ok(new_wal) => {
-                let old = st
-                    .wal
-                    .take()
-                    .expect("wal present after flush loop")
-                    .path()
-                    .to_path_buf();
-                st.wal = Some(new_wal);
-                st.epoch = next;
-                st.durable_seq = 0;
-                st.next_seq = 1;
-                engine.clear_dirty();
-                if let Err(e) = remove_stale(self.fs.as_ref(), &old) {
-                    // The checkpoint at `next` is durable, so the stale WAL is
-                    // harmless on disk — but a failing unlink signals a sick
-                    // volume; poison rather than limp along.
-                    if !st.poisoned {
-                        note_poison(&e);
-                    }
-                    st.poisoned = true;
-                    if st.sync_poison.is_none() {
-                        st.sync_poison = sync_reason(&e);
-                    }
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-                self.cv.notify_all();
-                if let Err(e) = self.crash.fire(CrashPoint::AfterWalRetire) {
-                    let e = DurableError::from(e);
-                    if !st.poisoned {
-                        note_poison(&e);
-                    }
-                    st.poisoned = true;
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-                crate::metrics::global().add(Metric::Checkpoints, 1);
-                if segmented {
-                    let threshold = engine.config.compact_segment_threshold;
-                    if threshold > 0 {
-                        if let Err(e) = self.compact_if_at_least(threshold) {
-                            if !st.poisoned {
-                                note_poison(&e);
-                            }
-                            st.poisoned = true;
-                            if st.sync_poison.is_none() {
-                                st.sync_poison = sync_reason(&e);
-                            }
-                            self.cv.notify_all();
-                            return Err(e);
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if !st.poisoned {
-                    note_poison(&e);
-                }
-                st.poisoned = true;
-                if st.sync_poison.is_none() {
-                    st.sync_poison = sync_reason(&e);
-                }
-                self.cv.notify_all();
-                Err(e)
-            }
-        }
+        let new_wal = published.map_err(|e| self.fail(&mut st, e))?;
+        let old = st
+            .wal
+            .replace(new_wal)
+            .expect("wal present after drain")
+            .path()
+            .to_path_buf();
+        st.epoch = next;
+        st.durable_seq = 0;
+        st.next_seq = 1;
+        engine.clear_dirty();
+        self.cv.notify_all();
+        // The manifest at `next` is durable, so a stale WAL left by a
+        // failure below is harmless on disk — but a failing unlink or
+        // compaction signals a sick volume; poison rather than limp along.
+        let retired = (|| -> Result<bool, DurableError> {
+            remove_stale(self.fs.as_ref(), &old)?;
+            self.crash.fire(CrashPoint::AfterWalRetire)?;
+            crate::metrics::global().add(Metric::Checkpoints, 1);
+            let threshold = engine.config.compact_segment_threshold;
+            Ok(threshold > 0 && self.compact_if_at_least(threshold)?)
+        })();
+        retired.map_err(|e| self.fail(&mut st, e))
     }
 
     /// Folds the shard's segment set when at least `threshold` segments
-    /// are live. Shard engines are fully hydrated, so no read handle needs
-    /// refreshing afterwards.
-    fn compact_if_at_least(&self, threshold: u64) -> Result<(), DurableError> {
+    /// are live; returns whether a fold happened.
+    fn compact_if_at_least(&self, threshold: u64) -> Result<bool, DurableError> {
         let live = read_segment_manifest(self.fs.as_ref(), &self.dir)?
             .map_or(0, |m| m.segments.len() as u64);
-        if live >= threshold && compact_dir(&self.fs, &self.dir, &self.crash)?.is_some() {
-            let live = read_segment_manifest(self.fs.as_ref(), &self.dir)?
-                .map_or(0, |m| m.segments.len() as u64);
-            crate::metrics::global().set(Metric::SegmentsLive, live);
+        if live < threshold || compact_dir(&self.fs, &self.dir, &self.crash)?.is_none() {
+            return Ok(false);
         }
-        Ok(())
+        let live = read_segment_manifest(self.fs.as_ref(), &self.dir)?
+            .map_or(0, |m| m.segments.len() as u64);
+        crate::metrics::global().set(Metric::SegmentsLive, live);
+        Ok(true)
     }
 
     /// Forces a compaction of this shard's segment set regardless of the
-    /// threshold (`None` under the monolithic backend or when at most one
-    /// segment is live). Holds the committer lock for the duration, so
-    /// commits on this shard queue behind the fold; in-memory queries are
-    /// unaffected.
+    /// threshold (`None` when at most one segment is live). Holds the
+    /// committer lock for the duration, so commits on this shard queue
+    /// behind the fold; in-memory queries are unaffected.
     ///
     /// # Errors
     /// Storage failures poison the committer.
     pub fn compact(&self) -> Result<Option<crate::lsm::CompactionStats>, DurableError> {
         let mut st = self.lock();
         if st.poisoned {
-            return Err(poisoned_err(&st));
+            return Err(st.poisoned_err());
         }
-        match compact_dir(&self.fs, &self.dir, &self.crash) {
-            Ok(stats) => Ok(stats),
-            Err(e) => {
-                if !st.poisoned {
-                    note_poison(&e);
-                }
-                st.poisoned = true;
-                if st.sync_poison.is_none() {
-                    st.sync_poison = sync_reason(&e);
-                }
-                self.cv.notify_all();
-                Err(e)
-            }
-        }
+        compact_dir(&self.fs, &self.dir, &self.crash).map_err(|e| self.fail(&mut st, e))
     }
 
     /// The active checkpoint/WAL epoch.
@@ -1730,7 +1476,7 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
     /// durability" from a crash-injection or codec poison.
     pub fn poison_error(&self) -> Option<DurableError> {
         let st = self.lock();
-        st.poisoned.then(|| poisoned_err(&st))
+        st.poisoned.then(|| st.poisoned_err())
     }
 }
 
@@ -1787,8 +1533,8 @@ fn read_manifest(fs: &dyn StorageFs, dir: &Path) -> Result<Option<usize>, Durabl
     decode_manifest(&bytes).map(Some)
 }
 
-/// A directory of `shard.<i>/` sub-engines, each with its own checkpoint,
-/// epoch-tagged WAL, and [`ShardCommitter`]. The shard count is pinned by
+/// A directory of `shard.<i>/` sub-engines, each with its own segment
+/// store, epoch-tagged WAL, and [`ShardCommitter`]. The shard count is pinned by
 /// an atomically-written manifest at creation time: reopening under a
 /// different `PRKB_SHARDS` keeps the persisted partitioning, so every
 /// attribute keeps routing to the WAL that holds its history.
@@ -1819,6 +1565,9 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
     /// # Errors
     /// As [`DurableEngine::open`], plus
     /// [`DurableError::CorruptManifest`].
+    ///
+    /// # Panics
+    /// As [`DurableEngine::open`].
     pub fn open(
         dir: &Path,
         config: EngineConfig,
@@ -1859,14 +1608,28 @@ impl<P: SpPredicate + WireCodec> ShardedDurablePool<P> {
         let mut shards = Vec::with_capacity(map.shards());
         let mut reports = Vec::with_capacity(map.shards());
         for i in 0..map.shards() {
-            let (engine, committer, report) = ShardCommitter::open_with_storage(
+            let mut shard = recover_shard::<P>(
+                Arc::clone(&fs),
                 &dir.join(format!("shard.{i}")),
                 config,
                 crash.clone(),
-                Arc::clone(&fs),
             )?;
-            shards.push((engine, committer));
-            reports.push(report);
+            // Shard engines are handed out by value and the session
+            // scheduler moves partitions between worker footprints with
+            // detach/attach, so a pool shard cannot carry lazy holes the
+            // way a DurableEngine can: hydrate everything the segment store
+            // holds. Recovery replay still deserialized only the WAL-touched
+            // partitions (what the report counts).
+            if let Some(store) = &shard.store {
+                for attr in shard.unloaded {
+                    let kb = load_partition(store, attr)?.ok_or(DurableError::CorruptSegment(
+                        "unloaded attr missing from store",
+                    ))?;
+                    shard.engine.restore_attr(attr, kb);
+                }
+            }
+            shards.push((shard.engine, shard.committer));
+            reports.push(shard.report);
         }
         Ok(ShardedDurablePool {
             dir: dir.to_path_buf(),

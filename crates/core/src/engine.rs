@@ -70,9 +70,10 @@ pub struct EngineConfig {
     pub threads: Option<usize>,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// holds at least this many records (`0` disables count-based
-    /// rotation). Consulted only by
-    /// [`DurableEngine`](crate::durability::DurableEngine); a plain
-    /// [`PrkbEngine`] never checkpoints.
+    /// rotation). Consulted only by the durable front ends
+    /// ([`ShardCommitter`](crate::durability::ShardCommitter) and the
+    /// [`DurableEngine`](crate::durability::DurableEngine) built on it); a
+    /// plain [`PrkbEngine`] never checkpoints.
     pub checkpoint_wal_records: u64,
     /// Checkpoint rotation policy: rotate once the active write-ahead log
     /// exceeds this many bytes (`0` disables size-based rotation).
@@ -80,9 +81,10 @@ pub struct EngineConfig {
     /// Group commit: the most refinement records one fsync covers. A flush
     /// leader takes at most this many pending payloads per batch, bounding
     /// tail latency and crash-exposure granularity under burst. Consulted
-    /// only by [`ShardCommitter`](crate::durability::ShardCommitter); the
-    /// coarse [`DurableEngine`](crate::durability::DurableEngine) always
-    /// fsyncs per record. Clamped to at least 1.
+    /// only by [`ShardCommitter`](crate::durability::ShardCommitter) (a
+    /// [`DurableEngine`](crate::durability::DurableEngine) commits one
+    /// operation at a time, so each of its batches holds one record).
+    /// Clamped to at least 1.
     pub group_commit_records: u64,
     /// Group commit: how long (in microseconds) a committer parked behind
     /// an in-flight flush sleeps before re-checking for leadership — a
@@ -91,17 +93,16 @@ pub struct EngineConfig {
     /// and batches form from commits that arrived during the previous
     /// flush.
     pub group_commit_max_wait_us: u64,
-    /// Use the LSM-style segmented checkpoint backend
-    /// ([`lsm`](crate::lsm)): checkpoints flush only dirtied partitions
-    /// into immutable segment files (O(delta)) and recovery opens the
-    /// segment manifest instead of deserializing a monolithic image.
-    /// `false` keeps the v1 `checkpoint.bin` format. A directory written
-    /// by one backend refuses to open under the other (see
-    /// [`DurableEngine::open`](crate::durability::DurableEngine::open)
-    /// for the one-way migration).
+    /// **Ignored.** Segments ([`lsm`](crate::lsm)) are the only checkpoint
+    /// format: every rotation flushes only the dirtied partitions into an
+    /// immutable segment file, and a v1 monolithic `checkpoint.bin` is
+    /// migrated into segment 0 on first open whatever this says. The field
+    /// stays so that code which still sets it — the `perfbench` harness,
+    /// which must build unchanged against both this and older trees —
+    /// keeps compiling; no code reads it.
     pub segmented_checkpoints: bool,
-    /// Segmented backend: fold the live segment set into one segment once
-    /// it reaches this many files (`0` disables automatic compaction).
+    /// Fold the live segment set into one segment once it reaches this many
+    /// files (`0` disables automatic compaction).
     pub compact_segment_threshold: u64,
 }
 
@@ -126,9 +127,8 @@ impl Default for EngineConfig {
 pub struct PrkbEngine<P> {
     kbs: HashMap<AttrId, Knowledge<P>>,
     /// Attributes whose in-memory knowledge may have diverged from the
-    /// last segment flush — the segmented checkpoint backend's O(delta)
-    /// working set. Maintained unconditionally (a `BTreeSet` insert per
-    /// mutation batch); the monolithic backend simply never reads it.
+    /// last segment flush — the checkpoint's O(delta) working set. Maintained unconditionally (a `BTreeSet` insert per
+    /// mutation batch).
     dirty: BTreeSet<AttrId>,
     /// Engine configuration (mutable between queries).
     pub config: EngineConfig,

@@ -1,9 +1,11 @@
 //! LSM-style segment storage for the PRKB checkpoint path (DESIGN.md §17).
 //!
 //! The paper's knowledge base only grows — every answered query refines the
-//! index forever — so the monolithic checkpoint (rewrite the whole KB,
-//! reload it all on recovery) is the scaling wall. This module family
-//! replaces it with **immutable SST-like segment files**:
+//! index forever — so a monolithic checkpoint (rewrite the whole KB,
+//! reload it all on recovery) is the scaling wall. This module family is
+//! the only checkpoint format, built from **immutable SST-like segment
+//! files** (a v1 monolithic `checkpoint.bin` is read once, as migration
+//! input):
 //!
 //! * [`segment`] — the on-disk segment format: attr-sorted partition
 //!   blocks (each a [`snapshot`](crate::snapshot) image) with per-block
@@ -19,8 +21,8 @@
 //! * [`compaction`] — folds the newest version of every partition into one
 //!   fresh segment and retires the superseded files, off the query path.
 //!
-//! Checkpointing becomes *flush only the partitions dirtied since the last
-//! flush* (O(delta), see [`PrkbEngine::dirty_attrs`]); recovery becomes
+//! Checkpointing is *flush only the partitions dirtied since the last
+//! flush* (O(delta), see [`PrkbEngine::dirty_attrs`]); recovery is
 //! manifest-load + segment-open + short WAL replay. Every byte flows
 //! through the [`StorageFs`](prkb_edbms::StorageFs) seam, and every
 //! write/rename/fsync boundary fires a dedicated

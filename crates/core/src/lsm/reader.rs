@@ -32,7 +32,7 @@ pub struct SegmentStore {
 
 impl SegmentStore {
     /// Opens the manifest in `dir` and every segment it references.
-    /// `None` if the directory has no manifest (monolithic or fresh).
+    /// `None` if the directory has no manifest (fresh, or a v1 directory not yet migrated).
     ///
     /// # Errors
     /// A manifest entry whose segment file is missing or damaged is

@@ -160,13 +160,12 @@ pub fn encode_segment(id: u64, blocks: &[(AttrId, Vec<u8>)]) -> Vec<u8> {
 /// firing the four segment [`CrashPoint`] hooks. Returns the number of
 /// bytes written (the published file's length).
 ///
-/// Boundary semantics mirror [`write_checkpoint_on`]: a crash at
+/// A crash at any hook leaves either no published segment or a whole one:
 /// [`MidSegmentWrite`](CrashPoint::MidSegmentWrite) leaves a torn *temp*
-/// file (half the image, synced so reopen sees it); a failed `sync_all` or
-/// directory fsync surfaces as [`DurabilityError::SyncFailed`] and leaves
-/// the previous manifest + segment set untouched.
-///
-/// [`write_checkpoint_on`]: prkb_edbms::durability::write_checkpoint_on
+/// file (half the image, synced so reopen sees it), and the rename happens
+/// only after the temp file is durable. A failed `sync_all` or directory
+/// fsync surfaces as [`DurabilityError::SyncFailed`] and leaves the
+/// previous manifest + segment set untouched.
 pub fn write_segment(
     fs: &dyn StorageFs,
     dir: &Path,

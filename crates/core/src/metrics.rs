@@ -147,11 +147,10 @@ pub enum Metric {
     /// return may carry many connections' readiness — the whole point of
     /// retiring per-connection poll ticks).
     EpollWakeups,
-    /// Live segment files across open segmented engines — a gauge kept
+    /// Live segment files across open durable engines — a gauge kept
     /// current via [`MetricsRegistry::set`] after every flush/compaction.
     SegmentsLive,
-    /// Bytes written into published segment files by O(delta) flushes (the
-    /// number the monolithic-vs-segmented benchmark compares).
+    /// Bytes written into published segment files by O(delta) flushes.
     SegmentFlushBytes,
     /// Segment compactions completed (live set folded to one segment).
     Compactions,

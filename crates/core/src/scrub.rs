@@ -1,8 +1,8 @@
 //! KB integrity scrubber: offline verification of everything the
 //! durability layer ever wrote.
 //!
-//! [`scrub_engine_dir`] CRC-walks one engine directory (checkpoint +
-//! epoch-tagged WAL); [`scrub_pool_dir`] walks a sharded pool (manifest +
+//! [`scrub_engine_dir`] CRC-walks one engine directory (segment store +
+//! epoch-tagged WAL, plus a v1 `checkpoint.bin` still awaiting migration); [`scrub_pool_dir`] walks a sharded pool (manifest +
 //! every `shard.<i>/` subdirectory). Each artifact gets a
 //! [`ScrubDamage`] classification:
 //!
@@ -12,7 +12,8 @@
 //! * **MidLogCorruption** — a damaged frame *inside* the committed prefix
 //!   (bitrot or tampering), or a CRC-valid frame whose payload no longer
 //!   decodes; recovery refuses such a log;
-//! * **CheckpointRot** — the checkpoint image fails its checksum or codec;
+//! * **CheckpointRot** — a v1 checkpoint image awaiting migration fails
+//!   its checksum or codec;
 //! * **ManifestMismatch** — the pool manifest is rotted, missing, or
 //!   disagrees with the shard directories actually present; also a
 //!   segment manifest that fails validation or references a segment file
@@ -70,7 +71,8 @@ pub enum ScrubDamage {
     /// Damage inside the WAL's committed prefix, an unrecognizable WAL
     /// header, or a CRC-valid frame whose payload fails to decode.
     MidLogCorruption,
-    /// The checkpoint image fails its checksum or codec.
+    /// A v1 checkpoint image awaiting migration fails its checksum or
+    /// codec.
     CheckpointRot,
     /// The pool manifest is rotted, missing, or disagrees with the shard
     /// directories present; or a segment manifest fails validation or

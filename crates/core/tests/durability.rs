@@ -12,10 +12,13 @@
 //!    record with valid data after it refuses to open, as does a damaged
 //!    checkpoint.
 //! 3. **Atomic checkpoint rotation** — a crash at any boundary of the
-//!    rotation (temp write, fsync, rename, WAL retirement) still recovers
-//!    exactly the live committed state.
+//!    rotation (segment write, fsync, rename, manifest swap, WAL and
+//!    segment retirement) still recovers exactly the live committed state.
+//!
+//! The v1 monolithic `checkpoint.bin` is only migration input now; its
+//! corruption case runs against a committed v1 fixture.
 
-use prkb_core::durability::{DurableEngine, DurableError};
+use prkb_core::durability::{DurableEngine, DurableError, RecoveryReport};
 use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::{EngineConfig, MdUpdatePolicy, PrkbEngine, SpPredicate};
 use prkb_edbms::durability::{CrashInjector, CrashPoint, DurabilityError, TailStatus};
@@ -24,7 +27,7 @@ use prkb_edbms::{ComparisonOp, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
@@ -158,6 +161,16 @@ fn rotate_every(records: u64) -> EngineConfig {
     }
 }
 
+/// Rotation every `records` plus compaction at two live segments, so every
+/// rotation hook — the compaction-only segment retirement included — is
+/// reached by one short workload.
+fn rotate_and_compact(records: u64) -> EngineConfig {
+    EngineConfig {
+        compact_segment_threshold: 2,
+        ..rotate_every(records)
+    }
+}
+
 /// Applies one step to a plain (reference) engine. Infallible.
 fn apply_ref(
     engine: &mut PrkbEngine<Predicate>,
@@ -265,12 +278,10 @@ fn drive(dir: &TmpDir, seed: u64, config: EngineConfig, crash: CrashInjector) ->
     }
 }
 
-/// Reopens with injection disabled and returns the recovered byte state and
-/// the number of records replayed.
+/// Reopens with injection disabled, materializes every lazy partition, and
+/// returns the recovered byte state and the number of records replayed.
 fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, u64, TailStatus) {
-    let (engine, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("recovery must open after a crash");
+    let (engine, report) = reopen(&dir.0, config);
     for attr in engine.engine().attrs().collect::<Vec<_>>() {
         engine
             .engine()
@@ -283,6 +294,17 @@ fn recover(dir: &TmpDir, config: EngineConfig) -> (Vec<Vec<u8>>, u64, TailStatus
         report.records_replayed,
         report.tail,
     )
+}
+
+/// Reopens `dir` with injection disabled and every partition loaded.
+fn reopen(dir: &Path, config: EngineConfig) -> (DurableEngine<Predicate>, RecoveryReport) {
+    let (mut engine, report) =
+        DurableEngine::<Predicate>::open_with_crash(dir, config, CrashInjector::disabled())
+            .expect("recovery must open after a crash");
+    engine
+        .ensure_all_loaded()
+        .expect("segment store must materialize every partition");
+    (engine, report)
 }
 
 // ---------------------------------------------------------------------------
@@ -368,16 +390,40 @@ proptest! {
     }
 }
 
-/// CI hook (satellite): `PRKB_CRASH_POINT=<name>[:nth]` arms the injector
-/// exactly like production would; the workload must crash-recover (or run
-/// clean when unset) under every point the CI matrix sweeps.
+/// Every hook, deterministically: a crash at the first and the third hit
+/// of each [`CrashPoint`] recovers the acknowledged state or the state
+/// with the one in-flight operation — never anything else.
+#[test]
+fn every_crash_point_recovers_a_committed_prefix() {
+    for point in CrashPoint::ALL {
+        for nth in [1u64, 3] {
+            let dir = TmpDir::new("allhooks");
+            let config = rotate_and_compact(4);
+            let run = drive(&dir, 5, config, CrashInjector::at_nth(point, nth));
+            assert!(run.crashed || nth > 1, "{point}:{nth} never fired");
+            let (recovered, _, _) = recover(&dir, config);
+            assert!(
+                recovered == run.acked || recovered == run.live,
+                "{point}:{nth}: recovered state is not a committed prefix"
+            );
+        }
+    }
+}
+
+/// CI hook: `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
+/// production would; the workload must crash-recover (or run clean when
+/// unset) under every point the CI matrix sweeps.
 #[test]
 fn env_driven_crash_point_recovers() {
     let injector = CrashInjector::from_env();
     let armed = injector.is_armed();
     let dir = TmpDir::new("env");
-    let config = rotate_every(6);
+    let config = rotate_and_compact(6);
     let run = drive(&dir, 7, config, injector);
+    assert!(
+        run.crashed || !env_crash_at_first_hit(),
+        "the armed crash point never fired"
+    );
     let (recovered, _, _) = recover(&dir, config);
     if run.crashed {
         assert!(
@@ -391,6 +437,14 @@ fn env_driven_crash_point_recovers() {
             "armed injector that never fires must still recover cleanly"
         );
     }
+}
+
+/// Whether `PRKB_CRASH_POINT` schedules its crash at the first hit of the
+/// hook. The env-driven workload reaches every hook at least once, so such
+/// a crash must fire — a sweep entry that injects nothing is a failure.
+fn env_crash_at_first_hit() -> bool {
+    std::env::var("PRKB_CRASH_POINT")
+        .is_ok_and(|spec| spec.split_once(':').map_or("1", |(_, nth)| nth).trim() == "1")
 }
 
 // ---------------------------------------------------------------------------
@@ -469,23 +523,40 @@ fn tail_bit_flip_is_discarded_but_mid_log_flip_refuses_to_open() {
     );
 }
 
+/// Copies the committed v1 directory (a monolithic `checkpoint.bin` at
+/// epoch 4 plus its WAL, written by the last encoder of that format) into
+/// `dir`.
+fn copy_v1_fixture(dir: &Path) {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_checkpoint");
+    for entry in std::fs::read_dir(fixture).expect("fixture dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+    }
+}
+
 #[test]
 fn corrupt_checkpoint_refuses_to_open() {
     let dir = TmpDir::new("ckptflip");
-    let config = rotate_every(3);
-    let run = drive(&dir, 17, config, CrashInjector::disabled());
-    assert!(!run.crashed);
+    copy_v1_fixture(&dir.0);
     let ckpt = dir.0.join("checkpoint.bin");
-    let mut bytes = std::fs::read(&ckpt).expect("checkpoint exists after rotation");
+    let mut bytes = std::fs::read(&ckpt).expect("fixture checkpoint");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
     std::fs::write(&ckpt, &bytes).expect("write");
-    let err =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect_err("damaged checkpoint must refuse to open");
+    let err = DurableEngine::<Predicate>::open_with_crash(
+        &dir.0,
+        EngineConfig::default(),
+        CrashInjector::disabled(),
+    )
+    .expect_err("damaged checkpoint must refuse to open");
     assert!(
         matches!(err, DurableError::CorruptCheckpoint(_)),
         "unexpected error class: {err}"
+    );
+    assert_eq!(
+        std::fs::read(&ckpt).expect("kept"),
+        bytes,
+        "a refused migration must leave the evidence in place"
     );
 }
 
@@ -499,9 +570,7 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
     let config = rotate_every(4);
     let run = drive(&dir, 19, config, CrashInjector::disabled());
     assert!(!run.crashed);
-    let (engine, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+    let (engine, report) = reopen(&dir.0, config);
     assert!(report.checkpoint_loaded, "rotation must have checkpointed");
     assert!(report.epoch > 0, "rotation must bump the epoch");
     assert!(
@@ -525,21 +594,16 @@ fn checkpoint_rotation_bumps_epoch_and_prunes_wals() {
 }
 
 /// An injected crash at every rotation boundary still recovers the exact
-/// live state: before the rename the old checkpoint+WAL pair is intact;
-/// after it the new checkpoint subsumes the old WAL.
+/// live state: before the manifest swap the old segment set + WAL pair is
+/// intact; after it the new segment subsumes the old WAL.
 #[test]
 fn checkpoint_crash_sweep_recovers_live_state() {
-    for point in [
-        CrashPoint::BeforeCheckpointWrite,
-        CrashPoint::MidCheckpointWrite,
-        CrashPoint::AfterCheckpointWrite,
-        CrashPoint::AfterCheckpointSync,
-        CrashPoint::AfterCheckpointRename,
-        CrashPoint::BeforeWalRetire,
-        CrashPoint::AfterWalRetire,
-    ] {
+    let rotation_hooks = CrashPoint::SEGMENT_HOOKS
+        .into_iter()
+        .chain([CrashPoint::BeforeWalRetire, CrashPoint::AfterWalRetire]);
+    for point in rotation_hooks {
         let dir = TmpDir::new("ckptsweep");
-        let config = rotate_every(4);
+        let config = rotate_and_compact(4);
         let run = drive(&dir, 23, config, CrashInjector::at(point));
         assert!(run.crashed, "{point} never fired");
         let (recovered, _, _) = recover(&dir, config);
@@ -618,8 +682,7 @@ fn restart_continuity_matches_uninterrupted_reference() {
 
     let mut at = 0usize;
     for stop in [5usize, 11, steps.len()] {
-        let (mut d, _) = DurableEngine::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+        let (mut d, _) = reopen(&dir.0, config);
         assert_eq!(
             kb_bytes(d.engine()),
             kb_bytes(&reference),
@@ -655,9 +718,7 @@ fn empty_and_single_partition_kbs_roundtrip_through_wal_and_checkpoint() {
         assert_eq!(d.epoch(), 1);
         assert!(d.wal_records() > 0, "insert must land in the new WAL");
     }
-    let (d, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+    let (d, report) = reopen(&dir.0, config);
     assert!(report.checkpoint_loaded);
     assert_eq!(report.epoch, 1);
     let kb0 = d.engine().knowledge(0).expect("indexed");
@@ -728,9 +789,7 @@ fn max_fanout_md_grid_roundtrips_through_checkpoint_and_wal() {
         );
         kb_bytes(d.engine())
     };
-    let (d, report) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
-            .expect("reopen");
+    let (d, report) = reopen(&dir.0, config);
     assert!(report.checkpoint_loaded);
     assert_eq!(kb_bytes(d.engine()), live, "fan-out grid diverged");
 }

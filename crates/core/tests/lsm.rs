@@ -17,9 +17,9 @@
 //! 4. **Compaction correctness** — folding the live set down races
 //!    concurrent queries and group commits without disturbing either, and
 //!    the folded store recovers the same bytes.
-//! 5. **Backend migration** — a v1 monolithic `checkpoint.bin` is migrated
-//!    into segment 0 on first segmented open; a segmented directory
-//!    refuses a monolithic open instead of silently dropping its WAL.
+//! 5. **v1 migration** — a committed v1 monolithic `checkpoint.bin` (and
+//!    its WAL) is migrated into segment 0 on first open and recovers the
+//!    same bytes the segment store builds from the same workload.
 //! 6. **Storage-fault equivalence** — seeded EIO/ENOSPC/short-write faults
 //!    against the segmented store (segment write, manifest swap, retire
 //!    included) surface as clean errors; reopening over the real fs
@@ -37,7 +37,7 @@ use prkb_edbms::{real_fs, ComparisonOp, Predicate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -84,20 +84,19 @@ fn columns(cols: usize, n: usize, extra: usize, seed: u64) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Segmented config rotating every `records` WAL records, compacting once
-/// the live set reaches `threshold` segments (0 disables compaction).
+/// Config rotating every `records` WAL records, compacting once the live
+/// set reaches `threshold` segments (0 disables compaction).
 fn segmented(records: u64, threshold: u64) -> EngineConfig {
     EngineConfig {
         checkpoint_wal_records: records,
         checkpoint_wal_bytes: 0,
-        segmented_checkpoints: true,
         compact_segment_threshold: threshold,
         ..EngineConfig::default()
     }
 }
 
 /// Mixed workload over everything that can mutate knowledge (same shape as
-/// the monolithic twin in `durability.rs`).
+/// the twin in `durability.rs`).
 #[derive(Debug, Clone)]
 enum Step {
     Cmp(Predicate),
@@ -295,9 +294,10 @@ fn segment_crash_sweep_recovers_live_state() {
     }
 }
 
-/// CI hook: `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
-/// production would, with the segmented backend on — the sweep the `lsm`
-/// CI job iterates over the segment hooks.
+/// `PRKB_CRASH_POINT=<name>[:nth]` arms the injector exactly like
+/// production would (unset, the run is clean and replay equality still
+/// pins). The CI crash sweeps drive the same hooks through
+/// `durability.rs` and `shard_durability.rs`.
 #[test]
 fn env_driven_segmented_crash_recovers() {
     let injector = CrashInjector::from_env();
@@ -318,8 +318,8 @@ fn env_driven_segmented_crash_recovers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Randomized sweep over *every* crash point — WAL, monolithic-era and
-    /// segment hooks alike — with the segmented backend live: whatever
+    /// Randomized sweep over *every* crash point — WAL, group-flush and
+    /// segment hooks alike: whatever
     /// fires wherever (nth included), the recovered engine validates and
     /// is byte-identical to the acknowledged state or to the acknowledged
     /// state plus the one in-flight operation.
@@ -429,7 +429,6 @@ fn dirty_set_larger_than_group_commit_batch_flushes_whole_delta() {
         checkpoint_wal_records: 0,
         checkpoint_wal_bytes: 0,
         group_commit_records: 3, // far smaller than the 8-partition dirty set
-        segmented_checkpoints: true,
         compact_segment_threshold: 0,
         ..EngineConfig::default()
     };
@@ -606,7 +605,6 @@ fn compaction_races_concurrent_queries_without_divergence() {
     let config = EngineConfig {
         checkpoint_wal_records: 0,
         checkpoint_wal_bytes: 0,
-        segmented_checkpoints: true,
         compact_segment_threshold: 0, // explicit compaction only
         ..EngineConfig::default()
     };
@@ -717,33 +715,36 @@ fn compaction_races_concurrent_queries_without_divergence() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Backend migration and mismatch refusal
+// 5. v1 migration
 // ---------------------------------------------------------------------------
 
-/// A directory written by the monolithic v1 backend migrates on first
-/// segmented open: `checkpoint.bin` becomes segment 0, the manifest takes
-/// over, and the recovered bytes are identical.
+/// A directory written by the last v1 (monolithic) checkpoint encoder — the
+/// committed fixture is this file's `drive` at seed 19, rotating every 4
+/// records — migrates on first open: `checkpoint.bin` becomes segment 0,
+/// the manifest takes over at the checkpoint's epoch, the WAL replays on
+/// top, and the recovered bytes equal the same workload driven straight
+/// into a segment store.
 #[test]
 fn v1_checkpoint_migrates_into_segment_store() {
-    let dir = TmpDir::new("migrate");
-    let v1 = EngineConfig {
+    let config = EngineConfig {
         checkpoint_wal_records: 4,
         checkpoint_wal_bytes: 0,
         ..EngineConfig::default()
     };
-    let run = drive(&dir, 19, v1, CrashInjector::disabled());
+    let dir = TmpDir::new("migrate");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_checkpoint");
+    for entry in std::fs::read_dir(fixture).expect("fixture dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, dir.0.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    let twin = TmpDir::new("migrate-twin");
+    let run = drive(&twin, 19, config, CrashInjector::disabled());
     assert!(!run.crashed);
-    assert!(
-        dir.0.join("checkpoint.bin").exists(),
-        "precondition: the monolithic run checkpointed"
-    );
 
-    let v2 = EngineConfig {
-        segmented_checkpoints: true,
-        ..v1
-    };
-    let (recovered, report) = recover(&dir, v2);
+    let (recovered, report) = recover(&dir, config);
     assert_eq!(recovered, run.live, "migration altered the recovered KB");
+    assert_eq!(report.epoch, 4, "the manifest inherits the v1 epoch");
+    assert!(report.records_replayed > 0, "the v1 WAL tail replays");
     assert!(
         report.segments_live >= 1,
         "migration must publish a segment"
@@ -758,31 +759,10 @@ fn v1_checkpoint_migrates_into_segment_store() {
     );
     // The migrated store keeps working: flush a delta on top of segment 0.
     let (mut durable, _) =
-        DurableEngine::<Predicate>::open_with_crash(&dir.0, v2, CrashInjector::disabled())
+        DurableEngine::<Predicate>::open_with_crash(&dir.0, config, CrashInjector::disabled())
             .expect("reopen migrated");
     durable.ensure_all_loaded().expect("materialize");
     durable.checkpoint().expect("post-migration checkpoint");
-}
-
-/// A segmented directory refuses a monolithic open outright: silently
-/// recovering at epoch 0 would sweep the live WAL as stale — an
-/// unacceptable data-loss path, so it is a hard error instead.
-#[test]
-fn monolithic_open_of_segmented_directory_refuses() {
-    let dir = TmpDir::new("mismatch");
-    let config = segmented(4, 0);
-    let run = drive(&dir, 29, config, CrashInjector::disabled());
-    assert!(!run.crashed);
-    let err = DurableEngine::<Predicate>::open_with_crash(
-        &dir.0,
-        EngineConfig::default(),
-        CrashInjector::disabled(),
-    )
-    .expect_err("a segmented store must not open monolithically");
-    assert!(
-        matches!(err, DurableError::CorruptSegment(_)),
-        "unexpected error class: {err}"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -914,8 +894,8 @@ fn recover_pool(dir: &TmpDir, config: EngineConfig, requested: usize) -> Vec<Vec
         .collect()
 }
 
-/// Per-shard replay equivalence with the segmented backend: every segment
-/// hook, on pools of 1 and 8 shards (the matrix the `lsm` CI job sweeps).
+/// Per-shard replay equivalence: every segment hook, on pools of 1 and 8
+/// shards.
 /// One shard's segment-flush crash never bleeds into another's history.
 #[test]
 fn sharded_segment_crash_sweep_recovers_committed_prefix_per_shard() {
@@ -1036,8 +1016,8 @@ fn env_driven_segmented_storage_fault_recovers() {
     }
 }
 
-/// CI hook for the sharded matrix: `PRKB_CRASH_POINT` arms the injector,
-/// `PRKB_SHARDS` sizes the pool — exactly what the `lsm` CI job exports.
+/// Sharded twin of the env hook above: `PRKB_CRASH_POINT` arms the
+/// injector, `PRKB_SHARDS` sizes the pool.
 #[test]
 fn env_driven_segmented_sharded_crash_recovers() {
     let injector = CrashInjector::from_env();

@@ -259,8 +259,17 @@ fn sharded_crash_sweep_recovers_committed_prefix_per_shard() {
 fn env_driven_sharded_crash_recovers() {
     let injector = CrashInjector::from_env();
     let dir = TmpDir::new("env");
-    let config = rotate_every(5);
+    // Compaction at two live segments puts every rotation hook, segment
+    // retirement included, on this workload's path.
+    let config = EngineConfig {
+        compact_segment_threshold: 2,
+        ..rotate_every(5)
+    };
     let run = drive_pool(&dir, config, injector, 4);
+    assert!(
+        run.crashed || !env_crash_at_first_hit(),
+        "the armed crash point never fired"
+    );
     let recovered = recover_pool(&dir, config, 4);
     for (sid, rec) in recovered.iter().enumerate() {
         if run.crashed {
@@ -275,6 +284,14 @@ fn env_driven_sharded_crash_recovers() {
             );
         }
     }
+}
+
+/// Whether `PRKB_CRASH_POINT` schedules its crash at the first hit of the
+/// hook. The env-driven workload reaches every hook at least once, so such
+/// a crash must fire — a sweep entry that injects nothing is a failure.
+fn env_crash_at_first_hit() -> bool {
+    std::env::var("PRKB_CRASH_POINT")
+        .is_ok_and(|spec| spec.split_once(':').map_or("1", |(_, nth)| nth).trim() == "1")
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@
 //!    poisons the WAL/shard: no retry-and-assume-durable, every later
 //!    commit attempt surfaces `SyncFailed`, and only a reopen resumes.
 //! 3. **ENOSPC-safe rotation** — a full disk mid-checkpoint aborts the
-//!    rotation with the previous checkpoint + WAL pair intact; reopen
-//!    recovers the exact committed prefix and leaves no stray `*.tmp`.
+//!    rotation with the previous segment manifest + WAL pair intact;
+//!    reopen recovers the exact committed prefix and leaves no stray
+//!    `*.tmp`.
 //! 4. **Scrub verdicts** — the scrubber classifies deliberate rot
 //!    (torn tail / mid-log / checkpoint rot / manifest mismatch) exactly,
 //!    quarantines rather than deletes, and over every `CrashInjector`
@@ -21,6 +22,7 @@
 //!    `SyncFailed` while sibling shards keep serving and committing.
 
 use prkb_core::durability::{encode_txn, DurableEngine, DurableError, TxnEntry};
+use prkb_core::lsm::SEGMENT_MANIFEST_FILE;
 use prkb_core::scrub::{scrub_engine_dir, scrub_pool_dir, ScrubDamage, QUARANTINE_DIR};
 use prkb_core::snapshot::{self, WireCodec};
 use prkb_core::storage::{real_fs, FaultFs, IoFaultKind, IoFaultRule, IoOp, StorageFs};
@@ -158,15 +160,19 @@ fn drive_engine(dir: &Path, fs: Arc<dyn StorageFs>, config: EngineConfig) -> Opt
     Some(run(&durable, acked, false))
 }
 
-/// Reopens over the real filesystem; recovery must validate.
+/// Reopens over the real filesystem and loads every partition; recovery
+/// must validate.
 fn recover_engine(dir: &Path, config: EngineConfig) -> Vec<Vec<u8>> {
-    let (engine, _) = DurableEngine::<Predicate>::open_with_storage(
+    let (mut engine, _) = DurableEngine::<Predicate>::open_with_storage(
         dir,
         config,
         CrashInjector::disabled(),
         real_fs(),
     )
     .expect("recovery over the real fs must open after an injected fault");
+    engine
+        .ensure_all_loaded()
+        .expect("segment store must materialize every partition");
     for attr in engine.engine().attrs().collect::<Vec<_>>() {
         engine
             .engine()
@@ -483,15 +489,17 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
             .expect("select");
         durable.checkpoint().expect("clean rotation");
     }
-    let old_checkpoint = std::fs::read(dir.0.join("checkpoint.bin")).expect("checkpoint exists");
+    let manifest_path = dir.0.join(SEGMENT_MANIFEST_FILE);
+    let old_manifest = std::fs::read(&manifest_path).expect("manifest exists");
 
     // Phase 2: reopen over a disk that fills up exactly when the *next*
-    // rotation tries to sync its temp file — sticky, like real ENOSPC.
+    // rotation tries to sync its segment temp file — sticky, like real
+    // ENOSPC.
     let faults = FaultFs::scripted(
         real_fs(),
         vec![IoFaultRule {
             op: Some(IoOp::SyncAll),
-            path_contains: Some("checkpoint.bin.tmp".into()),
+            path_contains: Some(".seg.tmp".into()),
             nth: 1,
             kind: IoFaultKind::Enospc,
             sticky: true,
@@ -508,7 +516,10 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     durable
         .try_select(&oracle, &Predicate::cmp(1, ComparisonOp::Lt, 600), &mut rng)
         .expect("commit before the armed rotation");
+    durable.ensure_all_loaded().expect("materialize");
     let acked = kb_bytes(durable.engine());
+    let wal = wal_path(&dir.0);
+    let old_wal = std::fs::read(&wal).expect("live WAL");
     let err = durable.checkpoint().expect_err("rotation must abort");
     assert!(
         matches!(err, DurableError::Storage(DurabilityError::SyncFailed(_))),
@@ -517,11 +528,16 @@ fn enospc_mid_rotation_keeps_old_checkpoint_and_recovers_committed_prefix() {
     assert!(durable.is_poisoned());
     drop(durable);
 
-    // The previous checkpoint + WAL pair must be byte-identical…
+    // The previous manifest + WAL pair must be byte-identical…
     assert_eq!(
-        std::fs::read(dir.0.join("checkpoint.bin")).expect("still there"),
-        old_checkpoint,
-        "aborted rotation must leave the old checkpoint untouched"
+        std::fs::read(&manifest_path).expect("still there"),
+        old_manifest,
+        "aborted rotation must leave the old manifest untouched"
+    );
+    assert_eq!(
+        std::fs::read(&wal).expect("still there"),
+        old_wal,
+        "aborted rotation must leave the live WAL untouched"
     );
     // …recovery must be exactly the committed prefix…
     let recovered = recover_engine(&dir.0, config);
@@ -651,18 +667,29 @@ fn scrub_classifies_mid_log_corruption_and_quarantine_unblocks_reopen() {
         .expect("quarantine unblocks reopen");
 }
 
+/// A rotted v1 `checkpoint.bin` — the committed fixture of the last
+/// monolithic encoder, kept as migration input — refuses to migrate and
+/// scrubs as checkpoint rot.
 #[test]
 fn scrub_classifies_checkpoint_rot() {
     let dir = TmpDir::new("scrub-ckpt");
-    build_engine_dir(&dir.0);
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_checkpoint");
+    for entry in std::fs::read_dir(fixture).expect("fixture dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, dir.0.join(path.file_name().expect("file name"))).expect("copy");
+    }
     let ckpt = dir.0.join("checkpoint.bin");
     let mut bytes = std::fs::read(&ckpt).expect("read");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&ckpt, &bytes).expect("rot");
 
-    DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
+    let err = DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default())
         .expect_err("rotted checkpoint must refuse to open");
+    assert!(
+        matches!(err, DurableError::CorruptCheckpoint(_)),
+        "unexpected error class: {err}"
+    );
 
     let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, true);
     let f = report
@@ -783,9 +810,14 @@ fn scrub_classifies_every_crash_survivor_as_residue_not_corruption() {
             let report = scrub_engine_dir::<Predicate>(real_fs().as_ref(), &dir.0, false);
             for f in &report.findings {
                 assert!(
+                    // A crash between segment publish and manifest swap
+                    // leaves a valid, unreferenced segment: residue too.
                     matches!(
                         f.damage,
-                        ScrubDamage::Clean | ScrubDamage::TornTail | ScrubDamage::StrayTemp
+                        ScrubDamage::Clean
+                            | ScrubDamage::TornTail
+                            | ScrubDamage::StrayTemp
+                            | ScrubDamage::StraySegment
                     ),
                     "{point}:{nth}: crash residue misclassified as {} at {} ({})",
                     f.damage.name(),

@@ -1,5 +1,4 @@
-//! Durable-storage primitives: write-ahead log, atomic checkpoints, and
-//! crash-point injection.
+//! Durable-storage primitives: write-ahead log and crash-point injection.
 //!
 //! The PRKB's whole value is *accumulated* state — every answered query
 //! refines the index (paper §5.3) — so losing it on a crash silently resets
@@ -14,10 +13,6 @@
 //!   the expected shape of a crash mid-append; silently truncated) from
 //!   **mid-log corruption** (a bad record *followed by* valid ones — bitrot
 //!   or tampering; a hard error, the log refuses to open).
-//! * [`write_checkpoint`] — full-snapshot rotation: write to a temp file,
-//!   fsync, atomically rename over the previous checkpoint, fsync the
-//!   directory. A crash at any boundary leaves either the old or the new
-//!   checkpoint fully intact, never a mix.
 //! * [`CrashInjector`] — simulated process death at every write / fsync /
 //!   rename boundary ([`CrashPoint`]), including torn writes (a partial
 //!   record reaches the disk before the "crash"). Deterministic and
@@ -74,10 +69,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// A write / fsync / rename boundary at which an injected crash can occur.
 ///
-/// Every durable transition the WAL and checkpoint paths make has a hook
-/// immediately **after** it (and one before the first byte), so a sweep over
-/// all variants exercises every partially-persisted state a real `kill -9`
-/// could leave behind.
+/// Every durable transition the WAL and segment-checkpoint paths make has a
+/// hook immediately **after** it (and one before the first byte), so a sweep
+/// over all variants exercises every partially-persisted state a real
+/// `kill -9` could leave behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Before any byte of the record reaches the WAL file.
@@ -88,16 +83,6 @@ pub enum CrashPoint {
     AfterWalAppend,
     /// The frame is written and fsync'd (the commit point).
     AfterWalSync,
-    /// Before any byte of the checkpoint temp file is written.
-    BeforeCheckpointWrite,
-    /// Mid-checkpoint: a prefix of the snapshot reaches the temp file.
-    MidCheckpointWrite,
-    /// The temp file is fully written but not yet fsync'd.
-    AfterCheckpointWrite,
-    /// The temp file is fsync'd but not yet renamed into place.
-    AfterCheckpointSync,
-    /// The rename happened; the old WAL has not been retired yet.
-    AfterCheckpointRename,
     /// The fresh epoch's WAL exists; the stale one has not been removed.
     BeforeWalRetire,
     /// Checkpoint rotation fully complete.
@@ -108,8 +93,7 @@ pub enum CrashPoint {
     /// shutdown drain included — so a sweep proves that losing a whole
     /// *unacknowledged* batch still recovers a committed prefix.
     BeforeGroupFlush,
-    /// Before any byte of a segment temp file is written (segmented
-    /// checkpoint backend).
+    /// Before any byte of a segment temp file is written.
     BeforeSegmentWrite,
     /// Mid-segment: a prefix of the segment image reaches the temp file
     /// (torn write).
@@ -132,16 +116,11 @@ pub enum CrashPoint {
 impl CrashPoint {
     /// Every hook point, in pipeline order — the sweep the CI job and the
     /// replay-equivalence proptest iterate over.
-    pub const ALL: [CrashPoint; 19] = [
+    pub const ALL: [CrashPoint; 14] = [
         CrashPoint::BeforeWalAppend,
         CrashPoint::MidWalAppend,
         CrashPoint::AfterWalAppend,
         CrashPoint::AfterWalSync,
-        CrashPoint::BeforeCheckpointWrite,
-        CrashPoint::MidCheckpointWrite,
-        CrashPoint::AfterCheckpointWrite,
-        CrashPoint::AfterCheckpointSync,
-        CrashPoint::AfterCheckpointRename,
         CrashPoint::BeforeWalRetire,
         CrashPoint::AfterWalRetire,
         CrashPoint::BeforeGroupFlush,
@@ -154,8 +133,8 @@ impl CrashPoint {
         CrashPoint::AfterSegmentRetire,
     ];
 
-    /// The hooks specific to the segmented (LSM-style) checkpoint backend —
-    /// the sweep the `lsm` CI job iterates over.
+    /// The hooks of the segment checkpoint writer (segment publish,
+    /// manifest swap, retirement).
     pub const SEGMENT_HOOKS: [CrashPoint; 7] = [
         CrashPoint::BeforeSegmentWrite,
         CrashPoint::MidSegmentWrite,
@@ -173,11 +152,6 @@ impl CrashPoint {
             CrashPoint::MidWalAppend => "mid_wal_append",
             CrashPoint::AfterWalAppend => "after_wal_append",
             CrashPoint::AfterWalSync => "after_wal_sync",
-            CrashPoint::BeforeCheckpointWrite => "before_checkpoint_write",
-            CrashPoint::MidCheckpointWrite => "mid_checkpoint_write",
-            CrashPoint::AfterCheckpointWrite => "after_checkpoint_write",
-            CrashPoint::AfterCheckpointSync => "after_checkpoint_sync",
-            CrashPoint::AfterCheckpointRename => "after_checkpoint_rename",
             CrashPoint::BeforeWalRetire => "before_wal_retire",
             CrashPoint::AfterWalRetire => "after_wal_retire",
             CrashPoint::BeforeGroupFlush => "before_group_flush",
@@ -224,8 +198,6 @@ pub enum DurabilityError {
         /// What failed.
         reason: &'static str,
     },
-    /// A checkpoint file failed its integrity or structural checks.
-    CorruptCheckpoint(String),
     /// A durability barrier (`sync_data`/`sync_all`) failed, or the handle
     /// was already poisoned by an earlier write/sync failure. After a failed
     /// fsync the kernel may have *dropped* the dirty pages (the fsyncgate
@@ -250,7 +222,6 @@ impl fmt::Display for DurabilityError {
                 "WAL corrupt at record {record} (offset {offset}): {reason}; \
                  valid records follow, refusing to discard committed state"
             ),
-            DurabilityError::CorruptCheckpoint(what) => write!(f, "corrupt checkpoint: {what}"),
             DurabilityError::SyncFailed(why) => write!(
                 f,
                 "durability barrier failed ({why}); no durable ack — \
@@ -307,18 +278,38 @@ impl CrashInjector {
     }
 
     /// Reads `PRKB_CRASH_POINT` (`<name>` or `<name>:<nth>`), the hook the
-    /// CI crash-sweep job sets. Unset or unparsable ⇒ disabled.
+    /// CI crash-sweep job sets. Unset ⇒ disabled.
+    ///
+    /// # Panics
+    /// On an unknown hook name or an `nth` that is not a positive integer,
+    /// listing the valid names: a sweep that names a hook which does not
+    /// exist must fail, not pass without injecting anything.
     pub fn from_env() -> Self {
-        let Ok(spec) = std::env::var("PRKB_CRASH_POINT") else {
-            return Self::disabled();
+        match std::env::var("PRKB_CRASH_POINT") {
+            Ok(spec) => Self::from_spec(&spec).unwrap_or_else(|e| panic!("PRKB_CRASH_POINT: {e}")),
+            Err(_) => Self::disabled(),
+        }
+    }
+
+    /// Parses a `<name>` or `<name>:<nth>` crash spec (`nth` 1-based).
+    ///
+    /// # Errors
+    /// An unknown hook name or an `nth` that is not a positive integer; the
+    /// message lists every valid name.
+    fn from_spec(spec: &str) -> Result<Self, String> {
+        let (name, nth) = spec.split_once(':').unwrap_or((spec, "1"));
+        let valid = || {
+            let names: Vec<&str> = CrashPoint::ALL.iter().map(|p| p.name()).collect();
+            format!("valid names: {}", names.join(", "))
         };
-        let (name, nth) = match spec.split_once(':') {
-            Some((n, c)) => (n, c.trim().parse::<u64>().unwrap_or(1)),
-            None => (spec.as_str(), 1),
-        };
-        match CrashPoint::parse(name) {
-            Some(p) => Self::at_nth(p, nth),
-            None => Self::disabled(),
+        let point = CrashPoint::parse(name)
+            .ok_or_else(|| format!("unknown crash point `{}`; {}", name.trim(), valid()))?;
+        match nth.trim().parse::<u64>() {
+            Ok(nth) if nth >= 1 => Ok(Self::at_nth(point, nth)),
+            _ => Err(format!(
+                "`{nth}` in `{spec}` is not a 1-based hit count; {}",
+                valid()
+            )),
         }
     }
 
@@ -807,59 +798,6 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     }
 }
 
-/// Atomically replaces `final_name` in `dir` with `payload`: temp write,
-/// fsync, rename, directory fsync. A crash at any hook leaves either the
-/// previous file or the new one fully intact — never a mix — because the
-/// rename only happens after the temp file is durable.
-pub fn write_checkpoint(
-    dir: &Path,
-    final_name: &str,
-    payload: &[u8],
-    crash: &CrashInjector,
-) -> Result<PathBuf, DurabilityError> {
-    write_checkpoint_on(&RealFs, dir, final_name, payload, crash)
-}
-
-/// [`write_checkpoint`] on an arbitrary [`StorageFs`].
-///
-/// Any failed sync (`sync_all` on the temp file, or the directory fsync
-/// that makes the rename durable) surfaces as
-/// [`DurabilityError::SyncFailed`]: the rotation is aborted and — because
-/// the rename is the last fallible publish step for the file sync — the
-/// previous checkpoint + WAL pair stays intact and readable.
-pub fn write_checkpoint_on(
-    fs: &dyn StorageFs,
-    dir: &Path,
-    final_name: &str,
-    payload: &[u8],
-    crash: &CrashInjector,
-) -> Result<PathBuf, DurabilityError> {
-    let tmp = dir.join(format!("{final_name}.tmp"));
-    let dst = dir.join(final_name);
-    crash.fire(CrashPoint::BeforeCheckpointWrite)?;
-    let mut file = fs.create_file(&tmp)?;
-    if let Err(e) = crash.fire(CrashPoint::MidCheckpointWrite) {
-        let torn = (payload.len() / 2).min(payload.len().saturating_sub(1));
-        file.write_all(&payload[..torn])?;
-        file.sync_all()?;
-        return Err(e);
-    }
-    file.write_all(payload)?;
-    crash.fire(CrashPoint::AfterCheckpointWrite)?;
-    file.sync_all().map_err(|e| {
-        DurabilityError::SyncFailed(format!("checkpoint sync_all on {}: {e}", tmp.display()))
-    })?;
-    drop(file);
-    crash.fire(CrashPoint::AfterCheckpointSync)?;
-    fs.rename(&tmp, &dst)?;
-    crash.fire(CrashPoint::AfterCheckpointRename)?;
-    // Make the rename itself durable.
-    fs.sync_dir(dir).map_err(|e| {
-        DurabilityError::SyncFailed(format!("directory fsync on {}: {e}", dir.display()))
-    })?;
-    Ok(dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1076,48 +1014,6 @@ mod tests {
         assert_eq!(CrashPoint::parse("nonsense"), None);
     }
 
-    #[test]
-    fn checkpoint_write_is_atomic_under_crashes() {
-        let dir = tmpdir("ckpt");
-        // Seed an old checkpoint.
-        write_checkpoint(&dir, "checkpoint.bin", b"OLD", &CrashInjector::disabled()).expect("seed");
-        for point in [
-            CrashPoint::BeforeCheckpointWrite,
-            CrashPoint::MidCheckpointWrite,
-            CrashPoint::AfterCheckpointWrite,
-            CrashPoint::AfterCheckpointSync,
-        ] {
-            let err = write_checkpoint(
-                &dir,
-                "checkpoint.bin",
-                b"NEW-CHECKPOINT-PAYLOAD",
-                &CrashInjector::at(point),
-            )
-            .expect_err("must crash");
-            assert!(matches!(err, DurabilityError::Crash(_)));
-            let on_disk = std::fs::read(dir.join("checkpoint.bin")).expect("read");
-            assert_eq!(
-                on_disk, b"OLD",
-                "crash at {point} must keep the old file whole"
-            );
-        }
-        // Crash after the rename: the NEW file is fully in place.
-        let err = write_checkpoint(
-            &dir,
-            "checkpoint.bin",
-            b"NEW-CHECKPOINT-PAYLOAD",
-            &CrashInjector::at(CrashPoint::AfterCheckpointRename),
-        )
-        .expect_err("must crash");
-        assert!(matches!(
-            err,
-            DurabilityError::Crash(CrashPoint::AfterCheckpointRename)
-        ));
-        let on_disk = std::fs::read(dir.join("checkpoint.bin")).expect("read");
-        assert_eq!(on_disk, b"NEW-CHECKPOINT-PAYLOAD");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A [`StorageFs`] whose files fail every sync after the first
     /// `ok_syncs` — the smallest possible model of a dying disk.
     #[derive(Debug)]
@@ -1240,32 +1136,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_checkpoint_sync_aborts_rotation_with_old_file_intact() {
-        let dir = tmpdir("ckptsyncfail");
-        write_checkpoint(&dir, "checkpoint.bin", b"OLD", &CrashInjector::disabled()).expect("seed");
-        // The temp-file sync_all is the first sync in the rotation.
-        let fs = FlakySyncFs {
-            ok_syncs: 0,
-            counter: Arc::new(AtomicU64::new(0)),
-        };
-        let err = write_checkpoint_on(
-            &fs,
-            &dir,
-            "checkpoint.bin",
-            b"NEW",
-            &CrashInjector::disabled(),
-        )
-        .expect_err("sync must fail");
-        assert!(matches!(err, DurabilityError::SyncFailed(_)));
-        assert_eq!(
-            std::fs::read(dir.join("checkpoint.bin")).expect("read"),
-            b"OLD",
-            "aborted rotation must leave the previous checkpoint live"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn scan_frames_classifies_every_damage_shape() {
         let dir = tmpdir("frames");
         let path = dir.join("wal.0.log");
@@ -1306,14 +1176,34 @@ mod tests {
 
     #[test]
     fn env_spec_parsing() {
-        // Parsed manually (no process-global env mutation in tests): the
-        // spec grammar is `<name>` or `<name>:<nth>`.
-        let inj = CrashInjector::at_nth(CrashPoint::AfterWalSync, 2);
+        // Parsed through `from_spec` (no process-global env mutation in
+        // tests): the spec grammar is `<name>` or `<name>:<nth>`.
+        let inj = CrashInjector::from_spec(" after_wal_sync :2").expect("valid spec");
         assert!(inj.is_armed());
+        assert!(inj.fire(CrashPoint::AfterWalSync).is_ok());
+        assert!(inj.fire(CrashPoint::AfterWalSync).is_err(), "2nd hit fires");
+        assert!(CrashInjector::from_spec("before_group_flush")
+            .expect("bare name")
+            .fire(CrashPoint::BeforeGroupFlush)
+            .is_err());
         assert!(!CrashInjector::disabled().is_armed());
-        assert_eq!(
-            CrashPoint::parse(" after_wal_sync "),
-            Some(CrashPoint::AfterWalSync)
-        );
+    }
+
+    #[test]
+    fn unknown_crash_point_name_is_rejected_with_the_valid_names() {
+        // E.g. a sweep still naming a hook whose writer was removed.
+        let err = CrashInjector::from_spec("before_retired_write:3").expect_err("unknown hook");
+        assert!(err.contains("before_retired_write"), "{err}");
+        for p in CrashPoint::ALL {
+            assert!(err.contains(p.name()), "{err} omits {p}");
+        }
+    }
+
+    #[test]
+    fn unparsable_nth_is_rejected() {
+        for spec in ["after_wal_sync:", "after_wal_sync:two", "after_wal_sync:0"] {
+            let err = CrashInjector::from_spec(spec).expect_err(spec);
+            assert!(err.contains("1-based"), "{spec}: {err}");
+        }
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! The resilience header rides on every request (PR 7): a present
 //! `deadline_ms` becomes an absolute [`Instant`] budget threaded into the
-//! backend (checkout waits and oracle batches both honour it — expiry
+//! scheduler (checkout waits and oracle batches both honour it — expiry
 //! answers [`code::DEADLINE`] and leaves the KB untouched). A deadline of
 //! `Some(0)` is an *explicit immediate expiry*: the request is answered
 //! DEADLINE before dispatch, never touching the engine — useful as a
@@ -30,7 +30,7 @@
 
 use crate::admission::{DedupClaim, DedupWindow};
 use crate::proto::{code, Request, Response};
-use crate::scheduler::Backend;
+use crate::scheduler::SessionScheduler;
 use prkb_core::metrics::{self, Metric};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::SpPredicate;
@@ -44,8 +44,9 @@ use std::time::{Duration, Instant};
 
 /// State shared between the reactor thread and every worker.
 pub(crate) struct Shared<P: SpPredicate + WireCodec, O> {
-    /// The engine behind its concurrency discipline.
-    pub backend: Backend<P>,
+    /// The engine pool (in-memory or durable) behind its checkout/checkin
+    /// scheduler.
+    pub sched: SessionScheduler<P>,
     /// The shared oracle; `RwLock` so a deployment can upload rows (a
     /// `&mut` operation on test oracles) between queries.
     pub oracle: Arc<RwLock<O>>,
@@ -207,7 +208,7 @@ where
         Request::Select { seed, pred } | Request::Between { seed, pred } => {
             let oracle = read_oracle(&shared.oracle);
             let mut rng = StdRng::seed_from_u64(seed);
-            match shared.backend.select(&*oracle, &pred, deadline, &mut rng) {
+            match shared.sched.select(&*oracle, &pred, deadline, &mut rng) {
                 Ok((sel, seq)) => (
                     Response::Selection {
                         seq,
@@ -226,7 +227,7 @@ where
             let oracle = read_oracle(&shared.oracle);
             let mut rng = StdRng::seed_from_u64(seed);
             match shared
-                .backend
+                .sched
                 .select_range_md(&*oracle, &dims, deadline, &mut rng)
             {
                 Ok((sel, seq)) => (
@@ -253,12 +254,12 @@ where
                     false,
                 );
             }
-            match shared.backend.insert(&*oracle, tuple, deadline) {
+            match shared.sched.insert(&*oracle, tuple, deadline) {
                 Ok((outcomes, seq)) => (Response::Inserted { seq, outcomes }, false),
                 Err(e) => (error_of(&e), false),
             }
         }
-        Request::Delete { tuple } => match shared.backend.delete(tuple, deadline) {
+        Request::Delete { tuple } => match shared.sched.delete(tuple, deadline) {
             Ok(seq) => (Response::Deleted { seq }, false),
             Err(e) => (error_of(&e), false),
         },
@@ -275,7 +276,7 @@ where
             // right after. The server drains either way — a failed flush
             // is reported, not retried (the committer is poisoned; only a
             // reopen recovers it).
-            let flush = shared.backend.flush_durable();
+            let flush = shared.sched.flush_durable();
             shared.trigger_shutdown();
             match flush {
                 Ok(()) => (Response::Ok, true),

@@ -74,6 +74,6 @@ pub use client::{
     SelectionReply,
 };
 pub use proto::{ProtoError, Request, RequestHeader, Response, PROTO_VERSION};
-pub use scheduler::{Backend, DeadlineOracle, ServeError, SessionOracle, SessionScheduler};
+pub use scheduler::{DeadlineOracle, ServeError, SessionOracle, SessionScheduler};
 pub use server::{PrkbServer, ServerConfig, ServerHandle, ServerReport};
 pub use wire::{FrameError, FrameReader, DEFAULT_MAX_FRAME_LEN};

@@ -54,8 +54,8 @@ use prkb_core::durability::{encode_txn, GroupCommitTicket, TxnEntry};
 use prkb_core::metrics::{self, HistogramId};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{
-    DurableEngine, DurableError, EngineConfig, InsertOutcome, PrkbEngine, QueryError, Selection,
-    ShardCommitter, ShardMap, ShardedDurablePool, SpPredicate,
+    DurableError, EngineConfig, InsertOutcome, PrkbEngine, QueryError, Selection, ShardCommitter,
+    ShardMap, ShardedDurablePool, SpPredicate,
 };
 use prkb_edbms::trapdoor::PredicateKind;
 use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle, TupleId};
@@ -559,7 +559,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         match result {
             Ok(value) => {
                 let (seq, tickets) = guard.checkin(true);
-                self.settle_commit(&parts, tickets)?;
+                self.settle_commit(tickets, parts.iter().map(|(sid, _)| *sid))?;
                 Ok((value, seq))
             }
             Err(e) => {
@@ -646,8 +646,8 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     /// touched shard that crossed its checkpoint threshold rotate.
     fn settle_commit(
         &self,
-        parts: &[(usize, Vec<AttrId>)],
         tickets: Vec<(usize, GroupCommitTicket)>,
+        touched: impl Iterator<Item = usize>,
     ) -> Result<(), ServeError> {
         for (sid, ticket) in tickets {
             self.shards[sid]
@@ -657,8 +657,8 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
                 .wait_durable(ticket)
                 .map_err(ServeError::Durable)?;
         }
-        for (sid, _) in parts {
-            self.maybe_checkpoint_shard(*sid)?;
+        for sid in touched {
+            self.maybe_checkpoint_shard(sid)?;
         }
         Ok(())
     }
@@ -799,18 +799,88 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         let value = f(&mut merged);
         guard.merged = Some(merged);
         let (seq, tickets) = guard.checkin(true);
-        for (sid, ticket) in tickets {
-            self.shards[sid]
-                .committer
-                .as_ref()
-                .expect("ticket issued by this shard's committer")
-                .wait_durable(ticket)
-                .map_err(ServeError::Durable)?;
-        }
-        for sid in 0..self.shards.len() {
-            self.maybe_checkpoint_shard(sid)?;
-        }
+        self.settle_commit(tickets, 0..self.shards.len())?;
         Ok((value, seq))
+    }
+
+    /// Single-predicate selection (comparison or BETWEEN trapdoor) against
+    /// a per-request [`SessionOracle`]. `deadline` bounds the whole
+    /// operation: checkout waits and every oracle batch check it, and
+    /// expiry aborts with [`OracleError::DeadlineExceeded`] leaving the KB
+    /// untouched.
+    ///
+    /// # Errors
+    /// [`ServeError`] on engine or durability failure.
+    pub fn select<O, R>(
+        &self,
+        oracle: &O,
+        pred: &P,
+        deadline: Option<Instant>,
+        rng: &mut R,
+    ) -> Result<(Selection, u64), ServeError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        let session = SessionOracle::new(oracle);
+        let bounded = DeadlineOracle::new(&session, deadline);
+        self.with_detached_deadline(&[pred.attr()], deadline, |sub| {
+            sub.try_select(&bounded, pred, rng)
+        })
+    }
+
+    /// Multi-dimensional range selection (PRKB(MD)). Callers must have
+    /// rejected duplicate-attribute dimensions already (the engine treats
+    /// them as a programmer error).
+    ///
+    /// # Errors
+    /// [`ServeError`] on engine or durability failure.
+    pub fn select_range_md<O, R>(
+        &self,
+        oracle: &O,
+        dims: &[[P; 2]],
+        deadline: Option<Instant>,
+        rng: &mut R,
+    ) -> Result<(Selection, u64), ServeError>
+    where
+        O: SelectionOracle<Pred = P>,
+        R: Rng,
+    {
+        let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
+        let session = SessionOracle::new(oracle);
+        let bounded = DeadlineOracle::new(&session, deadline);
+        self.with_detached_deadline(&attrs, deadline, |sub| {
+            sub.try_select_range_md(&bounded, dims, rng)
+        })
+    }
+
+    /// Insert routing across every indexed attribute (whole-pool
+    /// footprint, hence exclusive).
+    ///
+    /// # Errors
+    /// [`ServeError`] on engine or durability failure.
+    pub fn insert<O>(
+        &self,
+        oracle: &O,
+        t: TupleId,
+        deadline: Option<Instant>,
+    ) -> Result<(Vec<(AttrId, InsertOutcome)>, u64), ServeError>
+    where
+        O: SelectionOracle<Pred = P>,
+    {
+        let (result, seq) =
+            self.with_exclusive_deadline(deadline, |engine| engine.try_insert(oracle, t))?;
+        Ok((result?, seq))
+    }
+
+    /// Delete across every indexed attribute.
+    ///
+    /// # Errors
+    /// [`ServeError::Durable`] when a durable shard fails; infallible on
+    /// in-memory pools.
+    pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, ServeError> {
+        let ((), seq) = self.with_exclusive_deadline(deadline, |engine| engine.delete(t))?;
+        Ok(seq)
     }
 
     /// Runs `f` with read access to the quiescent pool, without assigning a
@@ -965,191 +1035,6 @@ impl<P: SpPredicate> Drop for ExclusiveCheckin<'_, P> {
                 drop(st);
                 shard.quiescent.notify_all();
             }
-        }
-    }
-}
-
-/// The engine a server fronts: either a (possibly durable) sharded pool
-/// behind the checkout/checkin scheduler, or a [`DurableEngine`] behind a
-/// coarse lock — the pre-sharding durability path, kept as the baseline the
-/// group-commit benchmarks compare against.
-pub enum Backend<P: SpPredicate + WireCodec> {
-    /// Sharded engine pool; durable when built from a
-    /// [`ShardedDurablePool`] (see [`SessionScheduler::durable`]).
-    Shared(SessionScheduler<P>),
-    /// Coarse-locked durable engine, serialized end to end: one fsync per
-    /// committed operation, no evaluate-phase concurrency.
-    Durable(Box<Mutex<DurableSlot<P>>>),
-}
-
-/// A durable engine plus its commit sequence counter.
-pub struct DurableSlot<P: SpPredicate + WireCodec> {
-    /// The WAL-backed engine.
-    pub engine: DurableEngine<P>,
-    /// Commit sequence, incremented per committed operation.
-    pub seq: u64,
-}
-
-impl<P: SpPredicate + WireCodec> Backend<P> {
-    fn durable_lock<'a>(slot: &'a Mutex<DurableSlot<P>>) -> MutexGuard<'a, DurableSlot<P>> {
-        match slot.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Single-predicate selection (comparison or BETWEEN trapdoor).
-    /// `deadline` bounds the whole operation: checkout waits and every
-    /// oracle batch check it, and expiry aborts with
-    /// [`OracleError::DeadlineExceeded`] leaving the KB untouched.
-    ///
-    /// # Errors
-    /// [`ServeError`] on engine or durability failure.
-    pub fn select<O, R>(
-        &self,
-        oracle: &O,
-        pred: &P,
-        deadline: Option<Instant>,
-        rng: &mut R,
-    ) -> Result<(Selection, u64), ServeError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        match self {
-            Backend::Shared(sched) => {
-                let session = SessionOracle::new(oracle);
-                let bounded = DeadlineOracle::new(&session, deadline);
-                sched.with_detached_deadline(&[pred.attr()], deadline, |sub| {
-                    sub.try_select(&bounded, pred, rng)
-                })
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                let bounded = DeadlineOracle::new(oracle, deadline);
-                let sel = slot.engine.try_select(&bounded, pred, rng)?;
-                slot.seq += 1;
-                Ok((sel, slot.seq))
-            }
-        }
-    }
-
-    /// Multi-dimensional range selection (PRKB(MD)). Callers must have
-    /// rejected duplicate-attribute dimensions already (the engine treats
-    /// them as a programmer error).
-    ///
-    /// # Errors
-    /// [`ServeError`] on engine or durability failure.
-    pub fn select_range_md<O, R>(
-        &self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        deadline: Option<Instant>,
-        rng: &mut R,
-    ) -> Result<(Selection, u64), ServeError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        match self {
-            Backend::Shared(sched) => {
-                let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
-                let session = SessionOracle::new(oracle);
-                let bounded = DeadlineOracle::new(&session, deadline);
-                sched.with_detached_deadline(&attrs, deadline, |sub| {
-                    sub.try_select_range_md(&bounded, dims, rng)
-                })
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                let bounded = DeadlineOracle::new(oracle, deadline);
-                let sel = slot.engine.try_select_range_md(&bounded, dims, rng)?;
-                slot.seq += 1;
-                Ok((sel, slot.seq))
-            }
-        }
-    }
-
-    /// Insert routing across every indexed attribute (whole-engine
-    /// footprint, hence exclusive).
-    ///
-    /// # Errors
-    /// [`ServeError`] on engine or durability failure.
-    pub fn insert<O>(
-        &self,
-        oracle: &O,
-        t: TupleId,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<(AttrId, InsertOutcome)>, u64), ServeError>
-    where
-        O: SelectionOracle<Pred = P>,
-    {
-        match self {
-            Backend::Shared(sched) => {
-                let (result, seq) = sched
-                    .with_exclusive_deadline(deadline, |engine| engine.try_insert(oracle, t))?;
-                Ok((result?, seq))
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                let outcomes = slot.engine.try_insert(oracle, t)?;
-                slot.seq += 1;
-                Ok((outcomes, slot.seq))
-            }
-        }
-    }
-
-    /// Delete across every indexed attribute.
-    ///
-    /// # Errors
-    /// [`ServeError::Durable`] in durable mode; infallible when shared and
-    /// in-memory.
-    pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, ServeError> {
-        match self {
-            Backend::Shared(sched) => {
-                let ((), seq) =
-                    sched.with_exclusive_deadline(deadline, |engine| engine.delete(t))?;
-                Ok(seq)
-            }
-            Backend::Durable(slot) => {
-                let mut slot = Self::durable_lock(slot);
-                if expired(deadline) {
-                    return Err(deadline_error());
-                }
-                slot.engine.delete(t)?;
-                slot.seq += 1;
-                Ok(slot.seq)
-            }
-        }
-    }
-
-    /// Read access to the quiescent engine (validation, storage accounting).
-    pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
-        match self {
-            Backend::Shared(sched) => sched.inspect(f),
-            Backend::Durable(slot) => f(Self::durable_lock(slot).engine.engine()),
-        }
-    }
-
-    /// Flushes every pending group-commit batch (graceful drain). A no-op
-    /// for in-memory pools and for the coarse durable path, whose commits
-    /// are already fsync'd one by one.
-    ///
-    /// # Errors
-    /// [`ServeError::Durable`] when a shard's flush fails.
-    pub fn flush_durable(&self) -> Result<(), ServeError> {
-        match self {
-            Backend::Shared(sched) => sched.flush_durable(),
-            Backend::Durable(_) => Ok(()),
         }
     }
 }

@@ -20,11 +20,11 @@ use crate::admission::{DedupWindow, QUEUE_ENV};
 use crate::conn::{self, Shared};
 use crate::epoll::Waker;
 use crate::reactor::{self, Completion, CompletionQueue, WorkItem};
-use crate::scheduler::{Backend, DurableSlot, SessionScheduler};
+use crate::scheduler::SessionScheduler;
 use crate::wire::DEFAULT_MAX_FRAME_LEN;
 use prkb_core::metrics::{self, HistogramId};
 use prkb_core::snapshot::WireCodec;
-use prkb_core::{DurableEngine, PrkbEngine, ShardedDurablePool, SpPredicate};
+use prkb_core::{PrkbEngine, ShardedDurablePool, SpPredicate};
 use prkb_edbms::SelectionOracle;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -112,7 +112,7 @@ impl ServerConfig {
 }
 
 /// Totals reported once a server has fully drained, plus access to the
-/// backend — handed back so a caller can validate the knowledge the served
+/// engine pool — handed back so a caller can validate the knowledge the served
 /// queries built up.
 pub struct ServerReport<P: SpPredicate + WireCodec, O> {
     shared: Arc<Shared<P, O>>,
@@ -151,7 +151,7 @@ impl<P: SpPredicate + WireCodec, O> ServerReport<P, O> {
 
     /// Read access to the drained engine (validation, snapshotting).
     pub fn inspect<T>(&self, f: impl FnOnce(&prkb_core::PrkbEngine<P>) -> T) -> T {
-        self.shared.backend.inspect(f)
+        self.shared.sched.inspect(f)
     }
 }
 
@@ -179,20 +179,14 @@ where
         oracle: O,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        Self::bind_backend(
-            addr,
-            Backend::Shared(SessionScheduler::new(engine)),
-            oracle,
-            config,
-        )
+        Self::bind_scheduler(addr, SessionScheduler::new(engine), oracle, config)
     }
 
     /// Binds `addr` and fronts a recovered [`ShardedDurablePool`]: the
     /// session scheduler checks footprints out per shard, commits are
     /// group-committed per shard's WAL, and every reply waits for
-    /// durability on the shards it touched. This is the durable
-    /// deployment path; [`bind_durable`](Self::bind_durable) keeps the
-    /// coarse single-WAL engine as the comparison baseline.
+    /// durability on the shards it touched. This is the one durable
+    /// deployment path.
     ///
     /// # Errors
     /// Socket bind failure.
@@ -202,43 +196,19 @@ where
         oracle: O,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        Self::bind_backend(
-            addr,
-            Backend::Shared(SessionScheduler::durable(pool)),
-            oracle,
-            config,
-        )
+        Self::bind_scheduler(addr, SessionScheduler::durable(pool), oracle, config)
     }
 
-    /// Binds `addr` and fronts a [`DurableEngine`]: every commit hits the
-    /// write-ahead log, requests are serialized end to end.
-    ///
-    /// # Errors
-    /// Socket bind failure.
-    pub fn bind_durable(
+    fn bind_scheduler(
         addr: impl ToSocketAddrs,
-        engine: DurableEngine<P>,
-        oracle: O,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
-        Self::bind_backend(
-            addr,
-            Backend::Durable(Box::new(Mutex::new(DurableSlot { engine, seq: 0 }))),
-            oracle,
-            config,
-        )
-    }
-
-    fn bind_backend(
-        addr: impl ToSocketAddrs,
-        backend: Backend<P>,
+        sched: SessionScheduler<P>,
         oracle: O,
         config: ServerConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let threads = config.resolve_threads();
         let shared = Arc::new(Shared {
-            backend,
+            sched,
             oracle: Arc::new(RwLock::new(oracle)),
             shutdown: AtomicBool::new(false),
             max_frame_len: config.max_frame_len,
@@ -294,7 +264,7 @@ where
         } = self;
 
         // The reactor's wake fd must exist before workers can complete
-        // anything; install it first (bind_backend makes a fresh OnceLock,
+        // anything; install it first (bind_scheduler makes a fresh OnceLock,
         // so this set never loses a race).
         let _ = shared.wake.set(Waker::new()?);
 
@@ -360,7 +330,7 @@ where
         // Drain barrier: every acked commit already waited for durability,
         // but flush-and-fsync whatever batch is still pending so the
         // on-disk state is complete before the report is handed back.
-        if let Err(e) = shared.backend.flush_durable() {
+        if let Err(e) = shared.sched.flush_durable() {
             return Err(io::Error::other(format!("drain flush failed: {e}")));
         }
 

@@ -12,7 +12,7 @@
 //!   surface as stable wire codes, never as dead workers.
 
 use prkb_core::snapshot;
-use prkb_core::{DurableEngine, EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
+use prkb_core::{EngineConfig, PrkbEngine, ShardMap, ShardedDurablePool};
 use prkb_edbms::testing::PlainOracle;
 use prkb_edbms::{AttrId, ComparisonOp, Predicate, TupleId};
 use prkb_server::{proto, ClientError, PrkbClient, PrkbServer, ServerConfig};
@@ -286,7 +286,7 @@ fn four_clients_match_sequential_replay() {
 }
 
 // ---------------------------------------------------------------------------
-// Durable backend: shutdown loses nothing
+// Durable pool: shutdown loses nothing
 // ---------------------------------------------------------------------------
 
 struct TmpDir(PathBuf);
@@ -311,45 +311,19 @@ impl Drop for TmpDir {
     }
 }
 
-#[test]
-fn durable_backend_survives_restart() {
-    let dir = TmpDir::new("durable");
-    let oracle = PlainOracle::from_columns(columns());
-    let (mut durable, _report) =
-        DurableEngine::open(&dir.0, EngineConfig::default()).expect("open");
-    durable.init_attr(0, ROWS).expect("init");
-    durable.init_attr(1, ROWS).expect("init");
-
-    let server = PrkbServer::bind_durable("127.0.0.1:0", durable, oracle, ServerConfig::default())
-        .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let handle = server.spawn().expect("spawn");
-
-    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
-    for (i, bound) in [100u64, 40, 170, 90].into_iter().enumerate() {
-        let reply = client
-            .select(i as u64, Predicate::cmp(0, ComparisonOp::Lt, bound))
-            .expect("select");
-        assert_eq!(reply.tuples.len(), bound as usize);
-    }
-    client.shutdown().expect("shutdown");
-    let report = handle.join().expect("join");
-    let k_live = report.inspect(|e| e.knowledge(0).expect("attr 0").k());
-    assert!(k_live > 1, "queries refined the index (k = {k_live})");
-    drop(report);
-
-    // Reopen from disk: every committed refinement must still be there.
-    let (reopened, _) =
-        DurableEngine::<Predicate>::open(&dir.0, EngineConfig::default()).expect("reopen");
-    let k_disk = reopened.engine().knowledge(0).expect("attr 0").k();
-    assert_eq!(k_disk, k_live, "no committed refinement lost to shutdown");
-}
-
+/// The one durable server path, at one shard (the coarse single-WAL
+/// deployment) and at four.
 #[test]
 fn durable_pool_backend_survives_restart() {
+    for shards in [1, 4] {
+        durable_pool_survives_restart_at(shards);
+    }
+}
+
+fn durable_pool_survives_restart_at(shards: usize) {
     let dir = TmpDir::new("durable-pool");
     let oracle = PlainOracle::from_columns(columns());
-    let map = ShardMap::new(4);
+    let map = ShardMap::new(shards);
     let mut pool =
         ShardedDurablePool::open(&dir.0, EngineConfig::default(), map).expect("open pool");
     pool.init_attr(0, ROWS).expect("init");
@@ -398,12 +372,12 @@ fn durable_pool_backend_survives_restart() {
     let pool = ShardedDurablePool::<Predicate>::open(
         &dir.0,
         EngineConfig::default(),
-        ShardMap::new(1), // ignored: manifest wins
+        ShardMap::new(shards % 4 + 1), // ignored: manifest wins
     )
     .expect("reopen pool");
-    assert_eq!(pool.map().shards(), 4);
+    assert_eq!(pool.map().shards(), shards);
     let mut k_disk = (0, 0);
-    for sid in 0..4 {
+    for sid in 0..shards {
         let engine = pool.shard_engine(sid);
         if let Some(kb) = engine.knowledge(0) {
             k_disk.0 = kb.k();
@@ -415,7 +389,7 @@ fn durable_pool_backend_survives_restart() {
     assert_eq!(
         k_disk,
         (k0_live, k1_live),
-        "no committed refinement lost to restart"
+        "{shards} shard(s): no committed refinement lost to restart"
     );
 }
 
