@@ -44,27 +44,148 @@ fn wal_header() -> [u8; WAL_HEADER_LEN as usize] {
     header
 }
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes` — the frame checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Small table built on demand; durability paths are I/O-bound so the
-    // 256-entry rebuild per call is irrelevant next to the fsync.
-    let mut table = [0u32; 256];
-    for (i, e) in table.iter_mut().enumerate() {
+/// Slicing-by-16 lookup tables for [`crc32_update`]. `CRC_TABLES[0]` is the
+/// classic bytewise table of the reflected IEEE polynomial; table `k` maps
+/// a byte to its contribution after `k` further zero bytes, so one 16-byte
+/// block folds in with sixteen independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
         let mut c = i as u32;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
+            bit += 1;
         }
-        *e = c;
+        tables[0][i] = c;
+        i += 1;
     }
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
     }
-    !crc
+    tables
+}
+
+/// CRC32 (IEEE 802.3, reflected) over `bytes` — the frame checksum.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extends a finished CRC32 over more bytes: `crc32_update(crc32(a), b)`
+/// equals `crc32(a ‖ b)`, so a frame checksums `len ‖ payload` without
+/// concatenating them. Start from 0 for the empty prefix.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("16-byte block");
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// Bytes in front of every frame's payload: `len u32 | crc32 u32`.
+pub const FRAME_HEADER_LEN: usize = 8;
+
+/// Appends one frame — `len u32 LE | crc32(len ‖ payload) u32 LE | payload`
+/// — to `out`. WAL records and wire frames share this format; the checksum
+/// covers the length so a damaged length field cannot misframe silently.
+///
+/// # Panics
+/// If `payload` is longer than `u32::MAX` bytes (callers cap far below).
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let len = u32::try_from(payload.len())
+        .expect("frame payload fits u32")
+        .to_le_bytes();
+    let crc = crc32_update(crc32(&len), payload);
+    out.reserve(FRAME_HEADER_LEN + payload.len());
+    out.extend_from_slice(&len);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// What [`check_frame`] found at the front of a byte slice.
+#[derive(Debug, PartialEq, Eq)]
+pub enum FrameCheck<'a> {
+    /// Fewer than [`FRAME_HEADER_LEN`] bytes.
+    ShortHeader,
+    /// The length field exceeds the caller's cap.
+    TooLarge(u32),
+    /// The header is whole but the payload is not; the frame is `total`
+    /// bytes long, header included.
+    ShortBody {
+        /// Frame length the header announces.
+        total: usize,
+    },
+    /// The checksum does not match a frame of `total` bytes.
+    BadCrc {
+        /// Frame length the (possibly damaged) header announces.
+        total: usize,
+    },
+    /// A whole, checksum-valid frame of `total` bytes.
+    Valid {
+        /// The payload, borrowed from the input.
+        payload: &'a [u8],
+        /// Frame length, header included.
+        total: usize,
+    },
+}
+
+/// Checks the frame at the front of `bytes` without copying it. A length
+/// above `max_len` is rejected before anything past the header is looked
+/// at, so a lying length never becomes an allocation.
+pub fn check_frame(bytes: &[u8], max_len: u32) -> FrameCheck<'_> {
+    let Some(header) = bytes.get(..FRAME_HEADER_LEN) else {
+        return FrameCheck::ShortHeader;
+    };
+    let len_le: [u8; 4] = header[..4].try_into().expect("4 bytes");
+    let len = u32::from_le_bytes(len_le);
+    if len > max_len {
+        return FrameCheck::TooLarge(len);
+    }
+    let total = FRAME_HEADER_LEN + len as usize;
+    let Some(payload) = bytes.get(FRAME_HEADER_LEN..total) else {
+        return FrameCheck::ShortBody { total };
+    };
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    if crc32_update(crc32(&len_le), payload) != crc {
+        return FrameCheck::BadCrc { total };
+    }
+    FrameCheck::Valid { payload, total }
 }
 
 /// A write / fsync / rename boundary at which an injected crash can occur.
@@ -473,16 +594,8 @@ impl Wal {
         );
         self.check_poison()?;
         self.crash.fire(CrashPoint::BeforeWalAppend)?;
-        let len = (payload.len() as u32).to_le_bytes();
-        let mut covered = Vec::with_capacity(4 + payload.len());
-        covered.extend_from_slice(&len);
-        covered.extend_from_slice(payload);
-        let crc = crc32(&covered).to_le_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&len);
-        frame.extend_from_slice(&crc);
-        frame.extend_from_slice(payload);
-
+        let mut frame = Vec::new();
+        append_frame(&mut frame, payload);
         if let Err(e) = self.crash.fire(CrashPoint::MidWalAppend) {
             // Torn write: a strict prefix of the frame reaches the disk
             // before the process dies.
@@ -618,42 +731,20 @@ enum FrameStatus<'a> {
 }
 
 fn frame_at(bytes: &[u8], pos: usize) -> FrameStatus<'_> {
-    let rem = bytes.len() - pos;
-    if rem == 0 {
+    let rest = &bytes[pos..];
+    if rest.is_empty() {
         return FrameStatus::End;
     }
-    if rem < 8 {
-        return FrameStatus::Bad {
-            reason: "truncated frame header",
-            skip_to: None,
-        };
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_RECORD_LEN as usize {
-        return FrameStatus::Bad {
-            reason: "implausible record length",
-            skip_to: None,
-        };
-    }
-    let Some(end) = pos.checked_add(8 + len).filter(|&e| e <= bytes.len()) else {
-        return FrameStatus::Bad {
-            reason: "record extends past end of log",
-            skip_to: None,
-        };
-    };
-    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-    let mut covered = Vec::with_capacity(4 + len);
-    covered.extend_from_slice(&bytes[pos..pos + 4]);
-    covered.extend_from_slice(&bytes[pos + 8..end]);
-    if crc32(&covered) != crc {
-        return FrameStatus::Bad {
-            reason: "checksum mismatch",
-            skip_to: Some(end),
-        };
-    }
-    FrameStatus::Valid {
-        payload: &bytes[pos + 8..end],
-        next: end,
+    let bad = |reason, skip_to| FrameStatus::Bad { reason, skip_to };
+    match check_frame(rest, MAX_RECORD_LEN) {
+        FrameCheck::ShortHeader => bad("truncated frame header", None),
+        FrameCheck::TooLarge(_) => bad("implausible record length", None),
+        FrameCheck::ShortBody { .. } => bad("record extends past end of log", None),
+        FrameCheck::BadCrc { total } => bad("checksum mismatch", Some(pos + total)),
+        FrameCheck::Valid { payload, total } => FrameStatus::Valid {
+            payload,
+            next: pos + total,
+        },
     }
 }
 
@@ -809,11 +900,97 @@ mod tests {
         dir
     }
 
+    /// The bytewise table CRC the slicing-by-16 one replaced: the reference
+    /// every WAL, segment, manifest and wire byte was written with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, e) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *e = c;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        let mut bytes = vec![0u8; len];
+        StdRng::seed_from_u64(seed).fill_bytes(&mut bytes);
+        bytes
+    }
+
     #[test]
     fn crc32_known_vector() {
         // IEEE CRC32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length() {
+        let bytes = random_bytes(7, 300);
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bytewise(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        for seed in 0..32u64 {
+            let len = 1000 + (seed as usize * 7919) % 70_000;
+            let bytes = random_bytes(seed, len);
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn crc32_update_splits_at_every_offset() {
+        let bytes = random_bytes(11, 300);
+        let whole = crc32_bytewise(&bytes);
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), whole, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn frame_codec_checks_in_place() {
+        let mut out = b"prefix".to_vec();
+        append_frame(&mut out, b"payload");
+        let frame = &out[6..];
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + 7);
+        assert_eq!(
+            check_frame(frame, MAX_RECORD_LEN),
+            FrameCheck::Valid {
+                payload: b"payload",
+                total: frame.len()
+            }
+        );
+        assert_eq!(
+            check_frame(&frame[..7], MAX_RECORD_LEN),
+            FrameCheck::ShortHeader
+        );
+        assert_eq!(
+            check_frame(&frame[..9], MAX_RECORD_LEN),
+            FrameCheck::ShortBody { total: frame.len() }
+        );
+        assert_eq!(check_frame(frame, 6), FrameCheck::TooLarge(7));
+        let mut bad = frame.to_vec();
+        bad[FRAME_HEADER_LEN] ^= 1;
+        assert_eq!(
+            check_frame(&bad, MAX_RECORD_LEN),
+            FrameCheck::BadCrc { total: frame.len() }
+        );
     }
 
     #[test]

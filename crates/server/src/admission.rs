@@ -21,7 +21,9 @@
 //!   replays the stored response bytes (byte-identical, original commit
 //!   sequence number included) instead of committing twice. The window is
 //!   server-global, so replay works across reconnects, and FIFO-bounded,
-//!   sized to cover a client's retry horizon rather than all history.
+//!   sized to cover a client's retry horizon rather than all history. It
+//!   is bounded twice: by its entry capacity and by the stored reply
+//!   bytes, so a run of multi-megabyte selections cannot pin gigabytes.
 //!
 //! The in-flight case is handled, not raced: while a request id is being
 //! executed, a duplicate arrival parks on a condvar until the first
@@ -118,6 +120,11 @@ enum Entry {
     Done(Arc<Vec<u8>>),
 }
 
+/// Most reply bytes the window memoizes before it evicts below its entry
+/// capacity: a window of whole-table selections would otherwise hold
+/// capacity × reply size.
+const MAX_MEMO_BYTES: usize = 64 << 20;
+
 #[derive(Default)]
 struct DedupState {
     entries: HashMap<u64, Entry>,
@@ -125,6 +132,8 @@ struct DedupState {
     /// Pending ids are *not* here: an in-flight request is never evicted
     /// (in-flight count is bounded by the worker pool anyway).
     order: VecDeque<u64>,
+    /// Payload bytes of the completed entries.
+    bytes: usize,
 }
 
 /// Bounded request-id → response memo for idempotent retries (module docs).
@@ -159,7 +168,7 @@ pub struct ExecuteClaim<'a> {
 
 impl DedupWindow {
     /// A window remembering the last `capacity` completed responses
-    /// (clamped to at least 1).
+    /// (clamped to at least 1), fewer while they exceed the byte budget.
     pub fn new(capacity: usize) -> Self {
         DedupWindow {
             state: Mutex::new(DedupState::default()),
@@ -209,11 +218,18 @@ impl ExecuteClaim<'_> {
     pub fn complete(mut self, payload: Arc<Vec<u8>>) {
         self.done = true;
         let mut st = self.window.lock();
+        st.bytes += payload.len();
         st.entries.insert(self.rid, Entry::Done(payload));
         st.order.push_back(self.rid);
-        while st.order.len() > self.window.capacity {
-            if let Some(old) = st.order.pop_front() {
-                st.entries.remove(&old);
+        // FIFO by count, then by bytes — but never the entry just completed.
+        while st.order.len() > self.window.capacity
+            || (st.bytes > MAX_MEMO_BYTES && st.order.len() > 1)
+        {
+            let Some(old) = st.order.pop_front() else {
+                break;
+            };
+            if let Some(Entry::Done(bytes)) = st.entries.remove(&old) {
+                st.bytes -= bytes.len();
             }
         }
         drop(st);
@@ -303,6 +319,40 @@ mod tests {
         // horizon it is sized for).
         assert!(matches!(window.begin(1), DedupClaim::Execute(_)));
         assert!(matches!(window.begin(3), DedupClaim::Replay(_)));
+    }
+
+    #[test]
+    fn dedup_window_evicts_by_bytes_but_keeps_the_newest() {
+        let reply = 2 << 20;
+        let window = DedupWindow::new(1024);
+        for rid in 1..=64u64 {
+            let DedupClaim::Execute(claim) = window.begin(rid) else {
+                panic!("fresh id must execute");
+            };
+            claim.complete(Arc::new(vec![0; reply]));
+            let st = window.lock();
+            assert!(st.bytes <= MAX_MEMO_BYTES, "rid {rid}: {} bytes", st.bytes);
+            assert_eq!(st.bytes, st.order.len() * reply);
+        }
+        // 64 × 2 MiB is twice the byte budget: the oldest half is gone,
+        // the newest replays.
+        assert!(matches!(window.begin(1), DedupClaim::Execute(_)));
+        match window.begin(64) {
+            DedupClaim::Replay(bytes) => assert_eq!(bytes.len(), reply),
+            _ => panic!("newest entry must replay"),
+        }
+
+        // A reply over the whole budget is kept until the next one lands.
+        let window = DedupWindow::new(1024);
+        for (rid, len) in [(1u64, MAX_MEMO_BYTES + 1), (2, 16)] {
+            let DedupClaim::Execute(claim) = window.begin(rid) else {
+                panic!("fresh id must execute");
+            };
+            claim.complete(Arc::new(vec![0; len]));
+            assert!(matches!(window.begin(rid), DedupClaim::Replay(_)));
+        }
+        assert!(matches!(window.begin(1), DedupClaim::Execute(_)));
+        assert_eq!(window.lock().bytes, 16);
     }
 
     #[test]

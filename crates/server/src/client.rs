@@ -112,7 +112,9 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Per-frame write budget.
     pub write_timeout: Duration,
-    /// Frame payload cap (mirror of the server's).
+    /// Cap on a reply frame's payload. The default,
+    /// [`DEFAULT_MAX_REPLY_LEN`](crate::wire::DEFAULT_MAX_REPLY_LEN), fits a
+    /// whole-table selection.
     pub max_frame_len: u32,
     /// Retry/backoff/breaker discipline (reused from
     /// [`prkb_edbms::resilience`]). `max_attempts: 1` disables retrying.
@@ -136,7 +138,7 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(10),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
-            max_frame_len: crate::wire::DEFAULT_MAX_FRAME_LEN,
+            max_frame_len: crate::wire::DEFAULT_MAX_REPLY_LEN,
             retry: RetryPolicy::default(),
             deadline_ms: 0,
             rid_seed: 0,

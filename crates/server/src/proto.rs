@@ -435,6 +435,7 @@ impl Response {
                 out.push(1);
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+                out.reserve(4 * tuples.len() + 8 * 10); // ids, then ten u64 stats
                 for t in tuples {
                     out.extend_from_slice(&t.to_le_bytes());
                 }
@@ -497,10 +498,10 @@ impl Response {
                 if count > bytes.len().saturating_sub(pos) / 4 {
                     return Err(ProtoError::Malformed("tuple count lies"));
                 }
-                let mut tuples = Vec::with_capacity(count);
-                for _ in 0..count {
-                    tuples.push(take_u32(bytes, &mut pos)?);
-                }
+                let tuples = take(bytes, &mut pos, count * 4)?
+                    .chunks_exact(4)
+                    .map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes")))
+                    .collect();
                 let stats = decode_stats(bytes, &mut pos)?;
                 Response::Selection { seq, tuples, stats }
             }

@@ -50,10 +50,11 @@
 use crate::admission::{shed_busy, AdmissionGate, Admit};
 use crate::conn::Shared;
 use crate::epoll::{Event, Poller};
-use crate::wire::{encode_frame, FrameReader, ReadStep, FRAME_HEADER_LEN};
+use crate::wire::{FrameReader, ReadStep, FRAME_HEADER_LEN};
 use prkb_core::metrics::{self, HistogramId, Metric};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::SpPredicate;
+use prkb_edbms::durability::append_frame;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
@@ -447,7 +448,7 @@ impl<P: SpPredicate + WireCodec, O> Reactor<'_, P, O> {
         let wire_len = (payload.len() + FRAME_HEADER_LEN) as u64;
         self.shared.bytes.fetch_add(wire_len, Ordering::Relaxed);
         metrics::global().add(Metric::ServerBytes, wire_len);
-        conn.out.extend_from_slice(&encode_frame(payload));
+        append_frame(&mut conn.out, payload);
     }
 
     fn drain_completions(&mut self) {

@@ -69,7 +69,8 @@ pub struct ServerConfig {
     /// Write budget: a peer that stops reading keeps its unflushed
     /// response at most this long before the connection is dropped.
     pub write_timeout: Duration,
-    /// Completed responses remembered for idempotent replay.
+    /// Completed responses remembered for idempotent replay (fewer when
+    /// they hold more than 64 MiB of reply bytes).
     pub dedup_window: usize,
 }
 

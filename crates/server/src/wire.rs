@@ -1,14 +1,15 @@
 //! `prkb-wire/v2` framing: length-prefixed, CRC32-guarded binary frames.
 //!
-//! The frame layout reuses the discipline proven by the durability layer's
-//! write-ahead log ([`prkb_edbms::durability`]): every frame is
+//! A frame is exactly a write-ahead-log record, built and checked by the
+//! same codec ([`append_frame`] / [`check_frame`] in
+//! [`prkb_edbms::durability`]):
 //!
 //! ```text
 //! len: u32 LE | crc: u32 LE | payload (len bytes)
 //! ```
 //!
-//! where `crc` is CRC32 (IEEE, reflected — [`crc32`]) over `len || payload`,
-//! so a damaged length field cannot silently misframe the stream. Unlike the
+//! where `crc` is CRC32 (IEEE, reflected) over `len || payload`, so a
+//! damaged length field cannot silently misframe the stream. Unlike the
 //! WAL there is no file header: a TCP connection is a fresh stream and every
 //! frame is self-describing. Protocol versioning lives one layer up, in the
 //! first payload byte (see [`crate::proto`]).
@@ -16,19 +17,32 @@
 //! Decoding is incremental and allocation-bounded: [`decode_frame`] works on
 //! whatever bytes have arrived so far, answers "need more" without consuming
 //! anything, and rejects a length field above the configured cap *before*
-//! allocating — a lying length is a protocol error, not a 4 GiB allocation
-//! request (mirroring `MAX_RECORD_LEN` in the WAL).
+//! allocating. [`FrameReader`] grows its buffer only as bytes arrive, at
+//! most 256 KiB ahead of them, so even a length under a large cap that the
+//! peer never backs with bytes costs no more than that.
 
-use prkb_edbms::durability::crc32;
+pub use prkb_edbms::durability::FRAME_HEADER_LEN;
+use prkb_edbms::durability::{append_frame, check_frame, FrameCheck};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Bytes of framing overhead per frame (length + checksum).
-pub const FRAME_HEADER_LEN: usize = 8;
-
-/// Default cap on a single frame's payload (1 MiB). Configurable per server
-/// via [`crate::ServerConfig::max_frame_len`].
+/// Default cap on a single request frame's payload (1 MiB). Configurable
+/// per server via [`crate::ServerConfig::max_frame_len`].
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
+
+/// Default cap on a reply frame's payload a client accepts (256 MiB): a
+/// selection of 64M tuple ids, so a whole-table reply fits. Safe as a
+/// default because [`FrameReader`] allocates only as bytes arrive.
+pub const DEFAULT_MAX_REPLY_LEN: u32 = 256 << 20;
+
+/// Smallest read [`FrameReader`] issues, so a burst of small pipelined
+/// frames arrives in one call.
+const MIN_READ: usize = 16 << 10;
+
+/// Most room [`FrameReader`] adds ahead of the bytes that have arrived: a
+/// large frame is read in reads of up to this size, and a length field the
+/// peer never backs with bytes costs at most this much memory.
+const READ_AHEAD_CAP: usize = 256 << 10;
 
 /// Why a frame could not be decoded.
 #[derive(Debug)]
@@ -83,16 +97,8 @@ impl From<io::Error> for FrameError {
 /// # Panics
 /// Panics if `payload` exceeds `u32::MAX` bytes (callers cap far below).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("payload length fits u32");
-    let len_le = len.to_le_bytes();
-    let mut covered = Vec::with_capacity(4 + payload.len());
-    covered.extend_from_slice(&len_le);
-    covered.extend_from_slice(payload);
-    let crc = crc32(&covered).to_le_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&len_le);
-    frame.extend_from_slice(&crc);
-    frame.extend_from_slice(payload);
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload);
     frame
 }
 
@@ -105,25 +111,12 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// [`FrameError::TooLarge`] and [`FrameError::BadCrc`] are stream-fatal:
 /// framing is lost and the connection must be closed.
 pub fn decode_frame(bytes: &[u8], max_len: u32) -> Result<Option<(Vec<u8>, usize)>, FrameError> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Ok(None);
+    match check_frame(bytes, max_len) {
+        FrameCheck::ShortHeader | FrameCheck::ShortBody { .. } => Ok(None),
+        FrameCheck::TooLarge(len) => Err(FrameError::TooLarge { len, max: max_len }),
+        FrameCheck::BadCrc { .. } => Err(FrameError::BadCrc),
+        FrameCheck::Valid { payload, total } => Ok(Some((payload.to_vec(), total))),
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
-    if len > max_len {
-        return Err(FrameError::TooLarge { len, max: max_len });
-    }
-    let total = FRAME_HEADER_LEN + len as usize;
-    if bytes.len() < total {
-        return Ok(None);
-    }
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let mut covered = Vec::with_capacity(4 + len as usize);
-    covered.extend_from_slice(&bytes[..4]);
-    covered.extend_from_slice(&bytes[FRAME_HEADER_LEN..total]);
-    if crc32(&covered) != crc {
-        return Err(FrameError::BadCrc);
-    }
-    Ok(Some((bytes[FRAME_HEADER_LEN..total].to_vec(), total)))
 }
 
 /// Writes one frame to a blocking stream.
@@ -131,8 +124,7 @@ pub fn decode_frame(bytes: &[u8], max_len: u32) -> Result<Option<(Vec<u8>, usize
 /// # Errors
 /// Propagates the underlying I/O failure.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let frame = encode_frame(payload);
-    w.write_all(&frame)?;
+    w.write_all(&encode_frame(payload))?;
     w.flush()
 }
 
@@ -141,9 +133,18 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// blocking streams and non-blocking sockets — `WouldBlock`/`TimedOut` map
 /// to [`ReadStep::Idle`]/[`ReadStep::Stalled`], which is exactly the
 /// "wait for the next readiness event" answer the epoll reactor needs.
+///
+/// The reader owns one buffer and reads straight into it, sized to the rest
+/// of the frame being assembled (16–256 KiB per read). Consumed frames only
+/// advance a cursor; the unconsumed tail moves to the front before the next
+/// read.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// `buf[start..end]` holds received, unconsumed bytes; `buf[end..]` is
+    /// zeroed room for the next read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 /// One step of [`FrameReader::poll`].
@@ -176,13 +177,13 @@ impl FrameReader {
     /// The reactor compares this across polls to detect byte-level
     /// progress for its stall deadline.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
     }
 
     /// True when a partial frame is buffered — the connection should be
     /// judged by the stall deadline, not the idle deadline.
     pub fn mid_frame(&self) -> bool {
-        !self.buf.is_empty()
+        self.end > self.start
     }
 
     /// Reads until one of: a full frame, a timeout tick, EOF, or an error.
@@ -193,28 +194,49 @@ impl FrameReader {
     /// or I/O failure.
     pub fn poll<R: Read>(&mut self, r: &mut R, max_len: u32) -> Result<ReadStep, FrameError> {
         loop {
-            if let Some((payload, consumed)) = decode_frame(&self.buf, max_len)? {
-                self.buf.drain(..consumed);
-                return Ok(ReadStep::Frame {
-                    payload,
-                    bytes_consumed: consumed,
-                });
+            let frame_len = match check_frame(&self.buf[self.start..self.end], max_len) {
+                FrameCheck::Valid { payload, total } => {
+                    let payload = payload.to_vec();
+                    self.start += total;
+                    if self.start == self.end {
+                        self.start = 0;
+                        self.end = 0;
+                    }
+                    return Ok(ReadStep::Frame {
+                        payload,
+                        bytes_consumed: total,
+                    });
+                }
+                FrameCheck::ShortHeader => FRAME_HEADER_LEN,
+                FrameCheck::ShortBody { total } => total,
+                FrameCheck::TooLarge(len) => {
+                    return Err(FrameError::TooLarge { len, max: max_len })
+                }
+                FrameCheck::BadCrc { .. } => return Err(FrameError::BadCrc),
+            };
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
             }
-            let mut chunk = [0u8; 4096];
-            match r.read(&mut chunk) {
+            let room = (frame_len - self.end).clamp(MIN_READ, READ_AHEAD_CAP);
+            if self.buf.len() < self.end + room {
+                self.buf.resize(self.end + room, 0);
+            }
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if self.end == 0 {
                         Ok(ReadStep::Closed)
                     } else {
                         Err(FrameError::Truncated)
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    return Ok(if self.buf.is_empty() {
+                    return Ok(if self.end == 0 {
                         ReadStep::Idle
                     } else {
                         ReadStep::Stalled
@@ -328,6 +350,92 @@ mod tests {
             }
         }
         assert_eq!(seen, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+    }
+
+    /// Hands out `data` in reads of random length, with `WouldBlock`
+    /// ticks in between, then blocks forever.
+    struct ShortReads {
+        data: Vec<u8>,
+        pos: usize,
+        rng: rand::rngs::StdRng,
+    }
+
+    impl Read for ShortReads {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            use rand::Rng;
+            if self.pos == self.data.len() || self.rng.gen_range(0..8u32) == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = self
+                .rng
+                .gen_range(1..=70_000usize)
+                .min(buf.len())
+                .min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_reassembles_a_large_frame_from_random_short_reads() {
+        use rand::SeedableRng;
+        let big: Vec<u8> = (0..3_000_000u32).map(|i| (i % 251) as u8).collect();
+        let payloads = [b"head".to_vec(), big, Vec::new(), b"tail".to_vec()];
+        for seed in 0..4u64 {
+            let mut data = Vec::new();
+            for p in &payloads {
+                data.extend_from_slice(&encode_frame(p));
+            }
+            let mut r = ShortReads {
+                data,
+                pos: 0,
+                rng: rand::rngs::StdRng::seed_from_u64(seed),
+            };
+            let mut reader = FrameReader::new();
+            let mut seen = Vec::new();
+            while seen.len() < payloads.len() {
+                match reader.poll(&mut r, DEFAULT_MAX_REPLY_LEN).expect("ok") {
+                    ReadStep::Frame {
+                        payload,
+                        bytes_consumed,
+                    } => {
+                        assert_eq!(bytes_consumed, FRAME_HEADER_LEN + payload.len());
+                        seen.push(payload);
+                    }
+                    ReadStep::Idle | ReadStep::Stalled => {}
+                    ReadStep::Closed => panic!("stream never closes"),
+                }
+            }
+            assert!(seen == payloads, "seed {seed}: frames differ");
+            assert!(!reader.mid_frame());
+        }
+    }
+
+    #[test]
+    fn lying_length_grows_the_buffer_by_at_most_the_read_ahead_cap() {
+        use rand::SeedableRng;
+        let mut data = DEFAULT_MAX_REPLY_LEN.to_le_bytes().to_vec();
+        data.extend_from_slice(&[0u8; 4]);
+        data.extend_from_slice(&[0xAB; 10]);
+        let mut r = ShortReads {
+            data,
+            pos: 0,
+            rng: rand::rngs::StdRng::seed_from_u64(1),
+        };
+        let mut reader = FrameReader::new();
+        for _ in 0..64 {
+            match reader.poll(&mut r, DEFAULT_MAX_REPLY_LEN).expect("ok") {
+                ReadStep::Idle | ReadStep::Stalled => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(reader.buffered(), FRAME_HEADER_LEN + 10);
+        assert!(
+            reader.buf.capacity() <= FRAME_HEADER_LEN + 10 + READ_AHEAD_CAP,
+            "capacity {} for 18 received bytes",
+            reader.buf.capacity()
+        );
     }
 
     #[test]

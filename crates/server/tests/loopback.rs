@@ -486,3 +486,39 @@ fn metrics_snapshot_travels_the_wire() {
     );
     assert_eq!(report.frame_errors(), 0);
 }
+
+#[test]
+fn default_client_receives_a_whole_table_selection() {
+    // 300k ids make a 1.2 MB reply: over the 1 MiB request-frame cap, which
+    // the client's default reply cap must not mirror.
+    const ROWS_BIG: u64 = 400_000;
+    const CUT: u64 = 300_000;
+    let column: Vec<u64> = (0..ROWS_BIG).map(|i| (i * 7_919) % ROWS_BIG).collect();
+    let server = PrkbServer::bind(
+        "127.0.0.1:0",
+        fresh_engine(ROWS_BIG as usize, 1),
+        PlainOracle::from_columns(vec![column.clone()]),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+
+    let mut client: PrkbClient<Predicate> = PrkbClient::connect(addr).expect("connect");
+    let reply = client
+        .select(5, Predicate::cmp(0, ComparisonOp::Lt, CUT))
+        .expect("a default-config client accepts a multi-megabyte reply");
+    let mut got = reply.tuples;
+    got.sort_unstable();
+    let expected: Vec<TupleId> = (0..ROWS_BIG as TupleId)
+        .filter(|&t| column[t as usize] < CUT)
+        .collect();
+    assert_eq!(got.len(), CUT as usize);
+    assert!(
+        got == expected,
+        "selection differs from the plaintext answer"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
