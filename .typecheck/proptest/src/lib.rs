@@ -241,6 +241,58 @@ pub mod test_runner {
     }
 }
 
+/// The case loop behind `proptest!`.
+#[doc(hidden)]
+pub mod __runner {
+    /// Case count and generator seed for one property. `PROPTEST_CASES`
+    /// overrides the configured count and `PROPTEST_SEED` (decimal or
+    /// `0x` hex) the default seed `0x9E3779B9 ^ cases`, so a sweep can
+    /// explore fresh cases and a failure can be replayed exactly. Unset,
+    /// every run replays the same cases.
+    pub fn plan(configured: u32) -> (u32, u64) {
+        let cases = match std::env::var("PROPTEST_CASES") {
+            Ok(v) => v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("PROPTEST_CASES={v:?} is not a case count")),
+            Err(_) => configured,
+        };
+        let seed = match std::env::var("PROPTEST_SEED") {
+            Ok(v) => parse_seed(&v).unwrap_or_else(|| panic!("PROPTEST_SEED={v:?} is not a u64")),
+            Err(_) => 0x9E37_79B9 ^ u64::from(cases),
+        };
+        (cases, seed)
+    }
+
+    fn parse_seed(v: &str) -> Option<u64> {
+        let v = v.trim();
+        match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => v.parse().ok(),
+        }
+    }
+
+    /// Lives for one case; if the property panics, says how to replay it.
+    pub struct CaseReport {
+        pub name: &'static str,
+        pub seed: u64,
+        pub cases: u32,
+        pub case: u32,
+    }
+
+    impl Drop for CaseReport {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "proptest: {} failed at case {} (seed {:#x}); replay with \
+                     PROPTEST_SEED={:#x} PROPTEST_CASES={}",
+                    self.name, self.case, self.seed, self.seed, self.cases
+                );
+            }
+        }
+    }
+}
+
 pub mod strategy {
     pub use super::{BoxedStrategy, Just, Strategy, Union};
 }
@@ -297,9 +349,15 @@ macro_rules! __proptest_fns {
     )*) => {$(
         #[test]
         fn $name() {
-            let cases: u32 = ($cfg).cases;
-            let mut __rng = $crate::TestRng::new(0x9E3779B9u64 ^ cases as u64);
-            for __case in 0..cases {
+            let (cases, seed) = $crate::__runner::plan(($cfg).cases);
+            let mut __rng = $crate::TestRng::new(seed);
+            for case in 0..cases {
+                let __report = $crate::__runner::CaseReport {
+                    name: stringify!($name),
+                    seed,
+                    cases,
+                    case,
+                };
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)*
                 $body
             }

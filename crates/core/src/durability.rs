@@ -889,10 +889,9 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
         )
     }
 
-    /// Makes `entries` durable as one WAL transaction, then rotates the
-    /// checkpoint if the policy says so.
-    fn commit(&mut self, entries: &[TxnEntry<P>]) -> Result<(), DurableError> {
-        let ticket = self.committer.enqueue(encode_txn(entries));
+    /// Waits until the just-enqueued record behind `ticket` is durable,
+    /// then rotates the checkpoint if the policy says so.
+    fn commit(&mut self, ticket: GroupCommitTicket) -> Result<(), DurableError> {
         self.committer.wait_durable(ticket)?;
         if self.committer.wants_checkpoint(&self.engine.config) {
             self.checkpoint()?;
@@ -900,18 +899,11 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
         Ok(())
     }
 
-    /// Commits the journaled ops of the operation that just ran in memory.
-    /// Every committed operation writes exactly one record — also when it
-    /// refined nothing — so the WAL record count equals the
-    /// committed-operation count.
+    /// Commits the journaled ops of the operation that just ran in memory
+    /// (see [`ShardCommitter::enqueue_ops`]).
     fn commit_ops(&mut self) -> Result<(), DurableError> {
-        let entries: Vec<TxnEntry<P>> = self
-            .engine
-            .take_ops()
-            .into_iter()
-            .map(|(attr, op)| TxnEntry::Op { attr, op })
-            .collect();
-        self.commit(&entries)
+        let ticket = self.committer.enqueue_ops(self.engine.take_ops());
+        self.commit(ticket)
     }
 
     /// Forces a checkpoint rotation (see [`ShardCommitter::checkpoint`]):
@@ -943,7 +935,10 @@ impl<P: SpPredicate + WireCodec> DurableEngine<P> {
         self.engine.init_attr(attr, n);
         // The fresh knowledge base starts with journaling off; re-arm it.
         self.engine.set_recording(true);
-        self.commit(&[TxnEntry::Init { attr, n: n as u64 }])
+        let ticket = self
+            .committer
+            .enqueue(encode_txn::<P>(&[TxnEntry::Init { attr, n: n as u64 }]));
+        self.commit(ticket)
     }
 
     /// Durable single-predicate selection: the refinement this query made
@@ -1231,6 +1226,19 @@ impl<P: SpPredicate + WireCodec> ShardCommitter<P> {
             epoch: st.epoch,
             seq,
         }
+    }
+
+    /// Enqueues the drained op journal of one committed operation
+    /// ([`PrkbEngine::take_ops`]) as its one WAL transaction. Every
+    /// committed operation writes exactly one record per shard it touched —
+    /// also when it refined nothing — so the WAL record count equals the
+    /// committed-operation count.
+    pub fn enqueue_ops(&self, ops: Vec<(AttrId, RefinementOp<P>)>) -> GroupCommitTicket {
+        let entries: Vec<TxnEntry<P>> = ops
+            .into_iter()
+            .map(|(attr, op)| TxnEntry::Op { attr, op })
+            .collect();
+        self.enqueue(encode_txn(&entries))
     }
 
     /// Blocks until the ticket's record is fsync-durable and returns its

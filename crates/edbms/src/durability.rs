@@ -677,44 +677,39 @@ impl Wal {
     }
 }
 
-/// Scans a WAL byte image: returns the valid payloads, the byte length of
-/// the valid prefix, and the tail status.
+/// Scans a WAL byte image with [`scan_frames`]: returns the valid
+/// payloads, the byte length of the valid prefix, and the tail status.
 ///
 /// # Errors
 /// [`DurabilityError::BadWalHeader`] on a bad header;
 /// [`DurabilityError::CorruptRecord`] when a bad record is followed by
 /// valid data (mid-log corruption).
 pub fn scan_records(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, u64, TailStatus), DurabilityError> {
-    if bytes.len() < WAL_HEADER_LEN as usize
-        || &bytes[..4] != WAL_MAGIC
-        || u16::from_le_bytes([bytes[4], bytes[5]]) != WAL_VERSION
-    {
-        return Err(DurabilityError::BadWalHeader);
-    }
-    let mut payloads = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    loop {
-        match frame_at(bytes, pos) {
-            FrameStatus::End => return Ok((payloads, pos as u64, TailStatus::Clean)),
-            FrameStatus::Valid { payload, next } => {
-                payloads.push(payload.to_vec());
-                pos = next;
-            }
-            FrameStatus::Bad { reason, skip_to } => {
-                // Tail damage or mid-log corruption? If any *valid* frame
-                // exists past the bad one, committed records would be lost
-                // by truncating here — that is corruption, not a torn tail.
-                if skip_to.is_some_and(|o| chain_has_valid_frame(bytes, o)) {
-                    return Err(DurabilityError::CorruptRecord {
-                        record: payloads.len() as u64,
-                        offset: pos as u64,
-                        reason,
-                    });
-                }
-                return Ok((payloads, pos as u64, TailStatus::TornDiscarded));
-            }
+    let scan = scan_frames(bytes);
+    let tail = match scan.verdict {
+        WalVerdict::Clean => TailStatus::Clean,
+        WalVerdict::TornTail => TailStatus::TornDiscarded,
+        WalVerdict::BadHeader => return Err(DurabilityError::BadWalHeader),
+        WalVerdict::MidLogCorruption => {
+            let bad = scan
+                .bad
+                .expect("mid-log corruption names its first bad frame");
+            return Err(DurabilityError::CorruptRecord {
+                record: bad.index,
+                offset: bad.offset,
+                reason: bad.reason,
+            });
         }
-    }
+    };
+    let payloads = scan
+        .frames
+        .iter()
+        .map(|f| {
+            let start = f.offset as usize + FRAME_HEADER_LEN;
+            bytes[start..start + f.len as usize].to_vec()
+        })
+        .collect();
+    Ok((payloads, scan.valid_len, tail))
 }
 
 enum FrameStatus<'a> {
@@ -869,6 +864,9 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
                 pos = next;
             }
             FrameStatus::Bad { reason, skip_to } => {
+                // Tail damage or mid-log corruption? If any *valid* frame
+                // exists past the bad one, committed records would be lost
+                // by truncating here — that is corruption, not a torn tail.
                 let verdict = if skip_to.is_some_and(|o| chain_has_valid_frame(bytes, o)) {
                     WalVerdict::MidLogCorruption
                 } else {

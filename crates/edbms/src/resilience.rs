@@ -23,7 +23,8 @@
 use crate::oracle::{OracleError, SelectionOracle};
 use crate::schema::TupleId;
 use crate::trapdoor::PredicateKind;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// SplitMix64 finalizer: a cheap, well-mixed hash for deterministic
@@ -289,12 +290,96 @@ impl RetryPolicy {
             ..RetryPolicy::default()
         }
     }
+
+    /// The sleep before retry number `attempt` (1-based), for the caller's
+    /// `n`-th backoff overall: exponential from `base_delay`, capped at
+    /// `max_delay`, with deterministic ±50% jitter drawn from
+    /// `jitter_seed ^ n` so synchronized retriers decorrelate. Zero when
+    /// `base_delay` is zero.
+    pub fn backoff_delay(&self, attempt: u32, n: u64) -> Duration {
+        if self.base_delay.is_zero() {
+            return Duration::ZERO;
+        }
+        let factor = 1u32 << attempt.saturating_sub(1).min(16);
+        let exp = self.base_delay.saturating_mul(factor);
+        let capped = exp.min(self.max_delay).max(self.base_delay);
+        let j = mix(self.jitter_seed ^ n) % 1000;
+        let nanos = capped.as_nanos() as u64;
+        Duration::from_nanos(nanos / 2 + (nanos / 2 / 1000) * j)
+    }
 }
 
-/// Circuit-breaker states (stored in an `AtomicU8`).
-const CLOSED: u8 = 0;
-const OPEN: u8 = 1;
-const HALF_OPEN: u8 = 2;
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum BreakerState {
+    #[default]
+    Closed,
+    Open,
+    HalfOpen,
+}
+
+/// Circuit-breaker state machine, driven by a [`RetryPolicy`]: after
+/// [`RetryPolicy::trip_after`] consecutive exhausted calls it opens and
+/// fast-fails the next [`RetryPolicy::cooldown_calls`] calls, then lets one
+/// half-open probe through — success closes it, failure reopens it for
+/// another cooldown. `trip_after = 0` disables it.
+#[derive(Debug, Clone, Default)]
+pub struct Breaker {
+    state: BreakerState,
+    consecutive_exhausted: u32,
+    open_calls_left: u32,
+}
+
+impl Breaker {
+    /// A closed breaker.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Gate at the top of every call. While open it fast-fails with the
+    /// consecutive-exhausted count; once the cooldown is spent it lets the
+    /// call through as the half-open probe.
+    ///
+    /// # Errors
+    /// The consecutive exhausted calls so far, when the call must
+    /// fast-fail.
+    pub fn gate(&mut self, policy: &RetryPolicy) -> Result<(), u32> {
+        if policy.trip_after == 0 || self.state != BreakerState::Open {
+            return Ok(());
+        }
+        if self.open_calls_left > 0 {
+            self.open_calls_left -= 1;
+            return Err(self.consecutive_exhausted);
+        }
+        self.state = BreakerState::HalfOpen; // cooldown spent: probe
+        Ok(())
+    }
+
+    /// Records a call outcome; returns whether this outcome opened the
+    /// breaker.
+    pub fn record(&mut self, policy: &RetryPolicy, ok: bool) -> bool {
+        if policy.trip_after == 0 {
+            return false;
+        }
+        if ok {
+            self.consecutive_exhausted = 0;
+            self.state = BreakerState::Closed;
+            return false;
+        }
+        self.consecutive_exhausted = self.consecutive_exhausted.saturating_add(1);
+        let probing = self.state == BreakerState::HalfOpen;
+        if probing || self.consecutive_exhausted >= policy.trip_after {
+            self.state = BreakerState::Open;
+            self.open_calls_left = policy.cooldown_calls;
+            return true;
+        }
+        false
+    }
+
+    /// Whether the breaker is currently open (fast-failing).
+    pub fn is_open(&self) -> bool {
+        self.state == BreakerState::Open
+    }
+}
 
 /// A fault-tolerant wrapper around any [`SelectionOracle`].
 ///
@@ -306,7 +391,7 @@ const HALF_OPEN: u8 = 2;
 /// is visible in the paper's metric, not hidden.
 ///
 /// When [`RetryPolicy::trip_after`] consecutive evaluations exhaust their
-/// attempts, the circuit breaker opens: the next
+/// attempts, the [`Breaker`] opens: the next
 /// [`RetryPolicy::cooldown_calls`] evaluations fast-fail with
 /// [`OracleError::Unavailable`] without touching the inner oracle, then one
 /// half-open probe is allowed through — success closes the breaker, failure
@@ -319,9 +404,7 @@ const HALF_OPEN: u8 = 2;
 pub struct RetryOracle<O> {
     inner: O,
     policy: RetryPolicy,
-    state: AtomicU8,
-    consecutive_exhausted: AtomicU32,
-    open_calls_left: AtomicU32,
+    breaker: Mutex<Breaker>,
     retries: AtomicU64,
     trips: AtomicU64,
     fast_fails: AtomicU64,
@@ -334,9 +417,7 @@ impl<O> RetryOracle<O> {
         RetryOracle {
             inner,
             policy,
-            state: AtomicU8::new(CLOSED),
-            consecutive_exhausted: AtomicU32::new(0),
-            open_calls_left: AtomicU32::new(0),
+            breaker: Mutex::new(Breaker::new()),
             retries: AtomicU64::new(0),
             trips: AtomicU64::new(0),
             fast_fails: AtomicU64::new(0),
@@ -371,61 +452,42 @@ impl<O> RetryOracle<O> {
 
     /// Whether the breaker is currently open (fast-failing).
     pub fn is_open(&self) -> bool {
-        self.state.load(Ordering::Relaxed) == OPEN
+        self.breaker().is_open()
+    }
+
+    fn breaker(&self) -> MutexGuard<'_, Breaker> {
+        // The breaker holds plain counters: a panic elsewhere cannot leave
+        // them inconsistent, so a poisoned lock is still usable.
+        match self.breaker.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 
     /// Gate at the top of every evaluation: fast-fail while open, let a
     /// half-open probe through once the cooldown is spent.
     fn gate(&self) -> Result<(), OracleError> {
-        if self.policy.trip_after == 0 || self.state.load(Ordering::Relaxed) != OPEN {
+        // A disabled breaker needs no lock.
+        if self.policy.trip_after == 0 {
             return Ok(());
         }
-        let left = self.open_calls_left.load(Ordering::Relaxed);
-        if left > 0 {
-            self.open_calls_left.store(left - 1, Ordering::Relaxed);
+        self.breaker().gate(&self.policy).map_err(|failures| {
             self.fast_fails.fetch_add(1, Ordering::Relaxed);
-            return Err(OracleError::Unavailable {
-                failures: self.consecutive_exhausted.load(Ordering::Relaxed),
-            });
-        }
-        self.state.store(HALF_OPEN, Ordering::Relaxed); // cooldown spent: probe
-        Ok(())
+            OracleError::Unavailable { failures }
+        })
     }
 
     /// Records an evaluation outcome into the breaker state machine.
     fn record(&self, ok: bool) {
-        if self.policy.trip_after == 0 {
-            return;
-        }
-        if ok {
-            self.consecutive_exhausted.store(0, Ordering::Relaxed);
-            self.state.store(CLOSED, Ordering::Relaxed);
-        } else {
-            let failed = self.consecutive_exhausted.fetch_add(1, Ordering::Relaxed) + 1;
-            let probing = self.state.load(Ordering::Relaxed) == HALF_OPEN;
-            if probing || failed >= self.policy.trip_after {
-                self.state.store(OPEN, Ordering::Relaxed);
-                self.open_calls_left
-                    .store(self.policy.cooldown_calls, Ordering::Relaxed);
-                self.trips.fetch_add(1, Ordering::Relaxed);
-            }
+        if self.policy.trip_after != 0 && self.breaker().record(&self.policy, ok) {
+            self.trips.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Sleeps the exponential backoff for retry number `attempt` (1-based),
-    /// with deterministic ±50% jitter so synchronized retriers decorrelate.
+    /// Sleeps the policy's jittered backoff for retry number `attempt`.
     fn backoff(&self, attempt: u32) {
-        if self.policy.base_delay.is_zero() {
-            return;
-        }
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        let exp = self.policy.base_delay.saturating_mul(factor);
-        let capped = exp.min(self.policy.max_delay).max(self.policy.base_delay);
         let n = self.backoffs.fetch_add(1, Ordering::Relaxed);
-        let j = mix(self.policy.jitter_seed ^ n) % 1000;
-        let nanos = capped.as_nanos() as u64;
-        let jittered = nanos / 2 + (nanos / 2 / 1000) * j;
-        std::thread::sleep(Duration::from_nanos(jittered));
+        std::thread::sleep(self.policy.backoff_delay(attempt, n));
     }
 }
 

@@ -18,9 +18,8 @@
 //!   the same deterministic backoff discipline as
 //!   [`prkb_edbms::resilience::RetryOracle`] — reconnecting first, reusing
 //!   the *same* request id so the server's dedup window makes the retry
-//!   exactly-once. A circuit breaker fast-fails with
-//!   [`ClientError::CircuitOpen`] after repeated exhaustion, mirroring
-//!   `RetryOracle`'s CLOSED/OPEN/HALF_OPEN discipline.
+//!   exactly-once. The same [`Breaker`] `RetryOracle` uses fast-fails
+//!   with [`ClientError::CircuitOpen`] after repeated exhaustion.
 //!
 //! Sockets always carry read/connect/write timeouts (defaults in
 //! [`ClientConfig`]): a dead or stalled server surfaces
@@ -31,7 +30,7 @@ use crate::proto::{code, ProtoError, Request, RequestHeader, Response};
 use crate::wire::{write_frame, FrameError, FrameReader, ReadStep};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{InsertOutcome, QueryStats};
-use prkb_edbms::resilience::{mix, RetryPolicy};
+use prkb_edbms::resilience::{mix, Breaker, RetryPolicy};
 use prkb_edbms::{AttrId, TupleId};
 use std::fmt;
 use std::io;
@@ -166,61 +165,6 @@ impl SelectionReply {
     }
 }
 
-/// Circuit-breaker states.
-const CLOSED: u8 = 0;
-const OPEN: u8 = 1;
-const HALF_OPEN: u8 = 2;
-
-/// Per-client breaker mirroring [`RetryOracle`]'s discipline: trip after
-/// `trip_after` consecutive exhausted calls, fast-fail `cooldown_calls`,
-/// then let one half-open probe through.
-///
-/// [`RetryOracle`]: prkb_edbms::resilience::RetryOracle
-struct Breaker {
-    state: u8,
-    consecutive_exhausted: u32,
-    open_calls_left: u32,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Breaker {
-            state: CLOSED,
-            consecutive_exhausted: 0,
-            open_calls_left: 0,
-        }
-    }
-
-    fn gate(&mut self, policy: &RetryPolicy) -> Result<(), ClientError> {
-        if policy.trip_after == 0 || self.state != OPEN {
-            return Ok(());
-        }
-        if self.open_calls_left > 0 {
-            self.open_calls_left -= 1;
-            return Err(ClientError::CircuitOpen);
-        }
-        self.state = HALF_OPEN; // cooldown spent: probe
-        Ok(())
-    }
-
-    fn record(&mut self, policy: &RetryPolicy, ok: bool) {
-        if policy.trip_after == 0 {
-            return;
-        }
-        if ok {
-            self.consecutive_exhausted = 0;
-            self.state = CLOSED;
-        } else {
-            self.consecutive_exhausted += 1;
-            let probing = self.state == HALF_OPEN;
-            if probing || self.consecutive_exhausted >= policy.trip_after {
-                self.state = OPEN;
-                self.open_calls_left = policy.cooldown_calls;
-            }
-        }
-    }
-}
-
 /// Blocking client over one connection at a time (see the module docs).
 pub struct PrkbClient<P> {
     addr: SocketAddr,
@@ -345,23 +289,14 @@ impl<P: WireCodec> PrkbClient<P> {
         }
     }
 
-    /// Mirror of [`RetryOracle`]'s deterministic jittered backoff.
+    /// Sleeps the retry policy's jittered backoff (the discipline
+    /// [`RetryOracle`] uses) for retry number `attempt`.
     ///
     /// [`RetryOracle`]: prkb_edbms::resilience::RetryOracle
     fn backoff(&mut self, attempt: u32) {
-        let policy = &self.config.retry;
-        if policy.base_delay.is_zero() {
-            return;
-        }
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        let exp = policy.base_delay.saturating_mul(factor);
-        let capped = exp.min(policy.max_delay).max(policy.base_delay);
-        let n = self.backoffs;
+        let delay = self.config.retry.backoff_delay(attempt, self.backoffs);
         self.backoffs += 1;
-        let j = mix(policy.jitter_seed ^ n) % 1000;
-        let nanos = capped.as_nanos() as u64;
-        let jittered = nanos / 2 + (nanos / 2 / 1000) * j;
-        std::thread::sleep(Duration::from_nanos(jittered));
+        std::thread::sleep(delay);
     }
 
     /// A server code worth retrying: overload shedding, lost framing, and
@@ -389,7 +324,9 @@ impl<P: WireCodec> PrkbClient<P> {
     /// server's dedup window replays instead of re-committing); the header
     /// also carries [`ClientConfig::deadline_ms`].
     fn call(&mut self, req: &Request<P>, idempotent: bool) -> Result<Response, ClientError> {
-        self.breaker.gate(&self.config.retry)?;
+        self.breaker
+            .gate(&self.config.retry)
+            .map_err(|_| ClientError::CircuitOpen)?;
         let hdr = RequestHeader {
             request_id: if idempotent { self.next_rid() } else { 0 },
             deadline_ms: (self.config.deadline_ms > 0).then_some(self.config.deadline_ms),

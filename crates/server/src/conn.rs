@@ -30,10 +30,10 @@
 
 use crate::admission::{DedupClaim, DedupWindow};
 use crate::proto::{code, Request, Response};
-use crate::scheduler::SessionScheduler;
+use crate::scheduler::{DeadlineOracle, Footprint, ServeError, SessionOracle, SessionScheduler};
 use prkb_core::metrics::{self, Metric};
 use prkb_core::snapshot::WireCodec;
-use prkb_core::SpPredicate;
+use prkb_core::{Selection, SpPredicate};
 use prkb_edbms::{AttrId, SelectionOracle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -205,64 +205,6 @@ where
 {
     match req {
         Request::Ping => (Response::Ok, false),
-        Request::Select { seed, pred } | Request::Between { seed, pred } => {
-            let oracle = read_oracle(&shared.oracle);
-            let mut rng = StdRng::seed_from_u64(seed);
-            match shared.sched.select(&*oracle, &pred, deadline, &mut rng) {
-                Ok((sel, seq)) => (
-                    Response::Selection {
-                        seq,
-                        tuples: sel.tuples,
-                        stats: sel.stats,
-                    },
-                    false,
-                ),
-                Err(e) => (error_of(&e), false),
-            }
-        }
-        Request::SelectRangeMd { seed, dims } => {
-            if let Err(resp) = validate_dims(&dims) {
-                return (resp, false);
-            }
-            let oracle = read_oracle(&shared.oracle);
-            let mut rng = StdRng::seed_from_u64(seed);
-            match shared
-                .sched
-                .select_range_md(&*oracle, &dims, deadline, &mut rng)
-            {
-                Ok((sel, seq)) => (
-                    Response::Selection {
-                        seq,
-                        tuples: sel.tuples,
-                        stats: sel.stats,
-                    },
-                    false,
-                ),
-                Err(e) => (error_of(&e), false),
-            }
-        }
-        Request::Insert { tuple } => {
-            let oracle = read_oracle(&shared.oracle);
-            // An id beyond the oracle's slots has no uploaded row behind it;
-            // routing it would be evaluating trapdoors against nothing.
-            if tuple as usize >= oracle.n_slots() {
-                return (
-                    Response::Error {
-                        code: code::MALFORMED,
-                        message: format!("tuple {tuple} beyond table ({} slots)", oracle.n_slots()),
-                    },
-                    false,
-                );
-            }
-            match shared.sched.insert(&*oracle, tuple, deadline) {
-                Ok((outcomes, seq)) => (Response::Inserted { seq, outcomes }, false),
-                Err(e) => (error_of(&e), false),
-            }
-        }
-        Request::Delete { tuple } => match shared.sched.delete(tuple, deadline) {
-            Ok(seq) => (Response::Deleted { seq }, false),
-            Err(e) => (error_of(&e), false),
-        },
         Request::MetricsSnapshot => (
             Response::Metrics {
                 json: metrics::global().snapshot().to_json(),
@@ -283,6 +225,82 @@ where
                 Err(e) => (error_of(&e), true),
             }
         }
+        op => match execute(shared, op, deadline) {
+            Ok(resp) => (resp, false),
+            Err(e) => (error_of(&e), false),
+        },
+    }
+}
+
+/// Runs one engine request through the scheduler's single operation path.
+/// A query's footprint is the attributes it names; an insert or delete
+/// touches every attribute's partitions (paper §7), so its footprint is the
+/// whole pool. Every request evaluates against its own [`SessionOracle`]
+/// (exact per-request QPF stats) behind a [`DeadlineOracle`] (the budget
+/// is checked between oracle batches).
+fn execute<P, O>(
+    shared: &Shared<P, O>,
+    req: Request<P>,
+    deadline: Option<Instant>,
+) -> Result<Response, ServeError>
+where
+    P: SpPredicate + WireCodec,
+    O: SelectionOracle<Pred = P>,
+{
+    let oracle = read_oracle(&shared.oracle);
+    let session = SessionOracle::new(&*oracle);
+    let bounded = DeadlineOracle::new(&session, deadline);
+    let sched = &shared.sched;
+    let selection = |(sel, seq): (Selection, u64)| Response::Selection {
+        seq,
+        tuples: sel.tuples,
+        stats: sel.stats,
+    };
+    match req {
+        Request::Select { seed, pred } | Request::Between { seed, pred } => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            sched
+                .run(Footprint::Attrs(&[pred.attr()]), deadline, |sub| {
+                    sub.try_select(&bounded, &pred, &mut rng)
+                })
+                .map(selection)
+        }
+        Request::SelectRangeMd { seed, dims } => {
+            if let Err(resp) = validate_dims(&dims) {
+                return Ok(resp);
+            }
+            let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            sched
+                .run(Footprint::Attrs(&attrs), deadline, |sub| {
+                    sub.try_select_range_md(&bounded, &dims, &mut rng)
+                })
+                .map(selection)
+        }
+        Request::Insert { tuple } => {
+            // An id beyond the oracle's slots has no uploaded row behind it;
+            // routing it would be evaluating trapdoors against nothing.
+            if tuple as usize >= oracle.n_slots() {
+                return Ok(Response::Error {
+                    code: code::MALFORMED,
+                    message: format!("tuple {tuple} beyond table ({} slots)", oracle.n_slots()),
+                });
+            }
+            sched
+                .run(Footprint::Pool, deadline, |engine| {
+                    engine.try_insert(&bounded, tuple)
+                })
+                .map(|(outcomes, seq)| Response::Inserted { seq, outcomes })
+        }
+        Request::Delete { tuple } => sched
+            .run(Footprint::Pool, deadline, |engine| {
+                engine.delete(tuple);
+                Ok(())
+            })
+            .map(|((), seq)| Response::Deleted { seq }),
+        Request::Ping | Request::MetricsSnapshot | Request::Shutdown => {
+            unreachable!("control requests are answered by handle")
+        }
     }
 }
 
@@ -293,7 +311,7 @@ fn read_oracle<O>(oracle: &RwLock<O>) -> std::sync::RwLockReadGuard<'_, O> {
     }
 }
 
-fn error_of(e: &crate::scheduler::ServeError) -> Response {
+fn error_of(e: &ServeError) -> Response {
     Response::Error {
         code: e.wire_code(),
         message: e.to_string(),

@@ -12,25 +12,29 @@
 //!   and (in durable deployments) its own WAL-backed
 //!   [`ShardCommitter`] — so unrelated queries never touch the same mutex
 //!   and durable commits fsync in parallel.
-//! * **Checkout/checkin.** Per shard, a query's attribute footprint is
+//! * **Checkout/checkin.** Per shard, an operation's attribute footprint is
 //!   *detached* into a private sub-engine
 //!   ([`prkb_core::PrkbEngine::detach_attrs`]) under the shard lock, the
 //!   lock is dropped, and evaluation (all oracle traffic, all QPF spending)
-//!   runs against the detached knowledge, concurrently with any query whose
-//!   footprint is disjoint.
+//!   runs against the detached knowledge, concurrently with any operation
+//!   whose footprint is disjoint.
 //!
-//! Cross-shard footprints (conjunctions, MD ranges) use a **two-phase
-//! checkout**: shards are reserved strictly in ascending shard-id order,
-//! holding at most one shard mutex at a time, so lock-order cycles are
-//! impossible by construction — the classic hierarchical resource-ordering
-//! argument. Exclusive operations (insert, delete, inspection) reserve
-//! every shard the same way via a per-shard `exclusive` flag.
+//! Every operation takes the same path, driven by its footprint. A query's
+//! footprint is the attributes it names (paper §5.3: refinement touches
+//! only the partitions of those attributes); an insert or delete touches
+//! every attribute's partitions (§7), so its footprint — and inspection's —
+//! is the whole pool. Cross-shard footprints use a **two-phase checkout**:
+//! shards are reserved strictly in ascending shard-id order, holding at
+//! most one shard mutex at a time, so lock-order cycles are impossible by
+//! construction — the classic hierarchical resource-ordering argument. A
+//! whole-pool footprint waits on each shard until its busy set is empty,
+//! then checks out every attribute the shard holds.
 //!
 //! Waiting is **precise**: each busy attribute keeps its own condvar plus a
 //! waiter count, and a checkin notifies only the condvars of the attributes
-//! it actually freed (plus the shard's quiescence condvar when the busy set
-//! empties) — a checkin of attribute `a` never wakes a session parked on
-//! attribute `b`.
+//! it actually freed — a checkin of attribute `a` never wakes a session
+//! parked on attribute `b`. A whole-pool checkout parks on one busy
+//! attribute at a time until the shard's busy set drains.
 //!
 //! The wire-visible **commit sequence number** is drawn from one global
 //! atomic while holding the *first* (lowest-id) shard lock of the
@@ -50,16 +54,15 @@
 //! wraps the shared oracle with a per-query counter so stats stay exact
 //! under concurrency.
 
-use prkb_core::durability::{encode_txn, GroupCommitTicket, TxnEntry};
+use prkb_core::durability::GroupCommitTicket;
 use prkb_core::metrics::{self, HistogramId};
 use prkb_core::snapshot::WireCodec;
 use prkb_core::{
-    DurableError, EngineConfig, InsertOutcome, PrkbEngine, QueryError, Selection, ShardCommitter,
-    ShardMap, ShardedDurablePool, SpPredicate,
+    DurableError, EngineConfig, PrkbEngine, QueryError, ShardCommitter, ShardMap,
+    ShardedDurablePool, SpPredicate,
 };
 use prkb_edbms::trapdoor::PredicateKind;
 use prkb_edbms::{AttrId, DurabilityError, OracleError, SelectionOracle, TupleId};
-use rand::Rng;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -276,41 +279,37 @@ struct WaitCell {
 }
 
 struct ShardState<P: SpPredicate> {
-    /// The shard's engine; `None` while an exclusive operation has it out.
-    engine: Option<PrkbEngine<P>>,
-    /// Attributes currently checked out by in-flight queries.
+    /// The shard's engine, minus whatever attributes are checked out.
+    engine: PrkbEngine<P>,
+    /// Attributes currently checked out by in-flight operations.
     busy: HashSet<AttrId>,
     /// Per-attribute waiter registrations (precise wakeups).
     waiters: HashMap<AttrId, WaitCell>,
-    /// Set while an exclusive operation owns the shard.
-    exclusive: bool,
 }
 
 struct Shard<P: SpPredicate> {
     state: Mutex<ShardState<P>>,
-    /// Signals "the shard may be quiescent": busy set emptied, exclusive
-    /// flag cleared, or engine reinstalled.
-    quiescent: Condvar,
     /// Durable deployments: the shard's group-commit pipeline.
     committer: Option<ShardCommitter<P>>,
 }
 
 impl<P: SpPredicate> Shard<P> {
+    fn new(engine: PrkbEngine<P>, committer: Option<ShardCommitter<P>>) -> Self {
+        Shard {
+            state: Mutex::new(ShardState {
+                engine,
+                busy: HashSet::new(),
+                waiters: HashMap::new(),
+            }),
+            committer,
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, ShardState<P>> {
         // A worker that panicked mid-commit cannot be reasoned about; treat
         // the lock as still usable (knowledge moves are two-phase and the
         // engine is abort-safe) rather than cascading the panic.
         match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn wait_quiescent<'g>(
-        &self,
-        guard: MutexGuard<'g, ShardState<P>>,
-    ) -> MutexGuard<'g, ShardState<P>> {
-        match self.quiescent.wait(guard) {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -346,6 +345,18 @@ impl<P: SpPredicate> Shard<P> {
     }
 }
 
+/// What one operation checks out of the pool.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Footprint<'a> {
+    /// The attributes a query names: each owning shard lends just those.
+    Attrs(&'a [AttrId]),
+    /// Every attribute of every shard — inserts, deletes and inspection.
+    /// Every shard is in it, including shards that hold no attribute, so
+    /// a committed whole-pool operation writes one record per durable
+    /// shard.
+    Pool,
+}
+
 /// Checkout/checkin scheduler over a shard-per-attribute engine pool.
 pub struct SessionScheduler<P: SpPredicate> {
     shards: Vec<Shard<P>>,
@@ -368,34 +379,20 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
     pub fn with_shards(mut engine: PrkbEngine<P>, map: ShardMap) -> Self {
         let config = engine.config;
         let attrs: Vec<AttrId> = engine.attrs().collect();
-        let mut shards = Vec::with_capacity(map.shards());
-        for sid in 0..map.shards() {
-            let own: Vec<AttrId> = attrs
-                .iter()
-                .copied()
-                .filter(|&a| map.shard_of(a) == sid)
-                .collect();
-            let sub = engine
-                .detach_attrs(&own)
-                .expect("attrs enumerated from the engine");
-            shards.push(Shard {
-                state: Mutex::new(ShardState {
-                    engine: Some(sub),
-                    busy: HashSet::new(),
-                    waiters: HashMap::new(),
-                    exclusive: false,
-                }),
-                quiescent: Condvar::new(),
-                committer: None,
-            });
-        }
-        metrics::global().set_shards(map.shards() as u64);
-        SessionScheduler {
-            shards,
-            map,
-            seq: AtomicU64::new(0),
-            config,
-        }
+        let shards = (0..map.shards())
+            .map(|sid| {
+                let own: Vec<AttrId> = attrs
+                    .iter()
+                    .copied()
+                    .filter(|&a| map.shard_of(a) == sid)
+                    .collect();
+                let sub = engine
+                    .detach_attrs(&own)
+                    .expect("attrs enumerated from the engine");
+                Shard::new(sub, None)
+            })
+            .collect();
+        Self::from_shards(shards, map, config)
     }
 
     /// Wraps a recovered [`ShardedDurablePool`]: every shard keeps its own
@@ -410,17 +407,12 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             .unwrap_or_default();
         let shards = parts
             .into_iter()
-            .map(|(engine, committer)| Shard {
-                state: Mutex::new(ShardState {
-                    engine: Some(engine),
-                    busy: HashSet::new(),
-                    waiters: HashMap::new(),
-                    exclusive: false,
-                }),
-                quiescent: Condvar::new(),
-                committer: Some(committer),
-            })
+            .map(|(engine, committer)| Shard::new(engine, Some(committer)))
             .collect();
+        Self::from_shards(shards, map, config)
+    }
+
+    fn from_shards(shards: Vec<Shard<P>>, map: ShardMap, config: EngineConfig) -> Self {
         metrics::global().set_shards(map.shards() as u64);
         SessionScheduler {
             shards,
@@ -442,15 +434,18 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
 
     /// Refuse new work on a footprint that includes a poisoned shard:
     /// its memory may be ahead of disk, and only a reopen recovers that.
-    fn check_shard_poison(&self, sids: impl Iterator<Item = usize>) -> Result<(), ServeError> {
-        for sid in sids {
-            if let Some(committer) = &self.shards[sid].committer {
-                if let Some(e) = committer.poison_error() {
-                    return Err(ServeError::Durable(e));
-                }
-            }
-        }
-        Ok(())
+    fn check_shard_poison(&self, footprint: Footprint<'_>) -> Result<(), ServeError> {
+        let poison = |sid: usize| {
+            self.shards[sid]
+                .committer
+                .as_ref()
+                .and_then(ShardCommitter::poison_error)
+        };
+        let found = match footprint {
+            Footprint::Attrs(attrs) => attrs.iter().find_map(|&a| poison(self.map.shard_of(a))),
+            Footprint::Pool => (0..self.shards.len()).find_map(poison),
+        };
+        found.map_or(Ok(()), |e| Err(ServeError::Durable(e)))
     }
 
     /// Runs `f` against the detached knowledge of `attrs`, holding each
@@ -469,187 +464,121 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         attrs: &[AttrId],
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
     ) -> Result<(T, u64), ServeError> {
-        self.with_detached_deadline(attrs, None, f)
+        self.run(Footprint::Attrs(attrs), None, f)
     }
 
-    /// [`with_detached`](Self::with_detached) with a deadline budget: if
-    /// the budget expires while the session was parked waiting for its
-    /// attribute footprint, the checkout is rolled back immediately —
-    /// every reserved attribute is freed, waiters are woken — and the call
-    /// fails with [`OracleError::DeadlineExceeded`] without running `f`.
-    /// A doomed query therefore never pins contended attributes.
+    /// Runs `f` with every attribute of the pool checked out (waits for
+    /// every in-flight checkout on every shard first) and assigns a commit
+    /// sequence number. For operations whose footprint is every attribute:
+    /// inserts, deletes. In durable pools the journaled ops are
+    /// group-commit durable on every shard before this returns.
     ///
+    /// # Errors
+    /// [`ServeError::Durable`] when a durable shard fails; infallible on
+    /// in-memory pools.
+    pub fn with_exclusive<T>(
+        &self,
+        f: impl FnOnce(&mut PrkbEngine<P>) -> T,
+    ) -> Result<(T, u64), ServeError> {
+        self.run(Footprint::Pool, None, |engine| Ok(f(engine)))
+    }
+
+    /// Runs `f` with read access to the quiescent pool, without assigning a
+    /// sequence number. For validation and inspection.
+    pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
+        let lease = self
+            .checkout(Footprint::Pool, None)
+            .expect("a whole-pool checkout without a deadline cannot fail");
+        f(&lease.engine)
+    }
+
+    /// The one operation path: checks `footprint` out, runs `f` outside
+    /// every lock, and checks the footprint back in — committed (with a
+    /// sequence number and, on durable shards, one WAL record per touched
+    /// shard) when `f` succeeds, uncommitted when it fails or panics.
+    ///
+    /// `deadline` bounds the checkout: if the budget expired while the
+    /// session was parked on its footprint, everything is checked back in
+    /// and the call fails with [`OracleError::DeadlineExceeded`] without
+    /// running `f`, so a doomed operation never pins contended attributes.
     /// Expiry *during* `f` is the oracle layer's job: wrap the session's
     /// oracle in a [`DeadlineOracle`] with the same instant.
-    pub fn with_detached_deadline<T>(
+    pub(crate) fn run<T>(
         &self,
-        attrs: &[AttrId],
+        footprint: Footprint<'_>,
         deadline: Option<Instant>,
         f: impl FnOnce(&mut PrkbEngine<P>) -> Result<T, QueryError>,
     ) -> Result<(T, u64), ServeError> {
-        let groups = self.map.group_sorted(attrs);
-        self.check_shard_poison(groups.iter().map(|(sid, _)| *sid))?;
+        self.check_shard_poison(footprint)?;
+        let mut lease = self.checkout(footprint, deadline)?;
+        // Evaluation happens here, outside every lock. On error or panic
+        // the lease's drop checks the knowledge back in uncommitted — the
+        // core pipelines are abort-safe, so there is nothing to journal.
+        let value = f(&mut lease.engine)?;
+        let (seq, tickets) = lease.checkin(true);
+        self.settle_commit(tickets)?;
+        Ok((value, seq))
+    }
 
-        // Phase 1: reserve and detach, shards strictly ascending, at most
-        // one shard mutex held at a time — deadlock-free by lock ordering.
+    /// Reserves and detaches `footprint`, shards strictly ascending, at
+    /// most one shard mutex held at a time — deadlock-free by lock
+    /// ordering. A whole-pool footprint waits for each shard's busy set to
+    /// empty, then takes every attribute the shard holds.
+    fn checkout(
+        &self,
+        footprint: Footprint<'_>,
+        deadline: Option<Instant>,
+    ) -> Result<Lease<'_, P>, ServeError> {
+        let wanted: Vec<(usize, Option<Vec<AttrId>>)> = match footprint {
+            Footprint::Attrs(attrs) => self
+                .map
+                .group_sorted(attrs)
+                .into_iter()
+                .map(|(sid, own)| (sid, Some(own)))
+                .collect(),
+            Footprint::Pool => (0..self.shards.len()).map(|sid| (sid, None)).collect(),
+        };
+        let mut lease = Lease {
+            sched: self,
+            parts: Vec::with_capacity(wanted.len()),
+            engine: PrkbEngine::new(self.config),
+        };
         let mut wait_us = 0u64;
-        let mut parts: Vec<(usize, Vec<AttrId>)> = Vec::with_capacity(groups.len());
-        let mut merged: Option<PrkbEngine<P>> = None;
-        for (sid, shard_attrs) in &groups {
-            let shard = &self.shards[*sid];
+        for (sid, named) in wanted {
+            let shard = &self.shards[sid];
             let reserve_start = Instant::now();
             let mut st = shard.lock();
             loop {
-                if st.exclusive || st.engine.is_none() {
-                    st = shard.wait_quiescent(st);
-                } else if let Some(&blocking) = shard_attrs.iter().find(|a| st.busy.contains(a)) {
-                    st = shard.wait_attr(st, blocking);
-                } else {
-                    break;
+                let blocking = match &named {
+                    Some(attrs) => attrs.iter().find(|a| st.busy.contains(a)),
+                    None => st.busy.iter().next(),
+                };
+                match blocking.copied() {
+                    Some(attr) => st = shard.wait_attr(st, attr),
+                    None => break,
                 }
             }
             wait_us += reserve_start.elapsed().as_micros() as u64;
-            let sub = match st
-                .engine
-                .as_mut()
-                .expect("reservation loop ensured engine present")
-                .detach_attrs(shard_attrs)
-            {
-                Ok(sub) => sub,
-                Err(e) => {
-                    drop(st);
-                    // Roll the earlier reservations back before failing.
-                    self.release_parts(&parts, merged.take(), false);
-                    metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
-                    return Err(e.into());
-                }
-            };
-            st.busy.extend(shard_attrs.iter().copied());
+            let attrs = named.unwrap_or_else(|| st.engine.attrs().collect());
+            // An unknown attribute fails the checkout; dropping the lease
+            // rolls back the shards already reserved.
+            let sub = st.engine.detach_attrs(&attrs)?;
+            st.busy.extend(attrs.iter().copied());
             drop(st);
-            match &mut merged {
-                None => merged = Some(sub),
-                Some(m) => m.attach(sub),
-            }
-            parts.push((*sid, shard_attrs.clone()));
+            lease.engine.attach(sub);
+            lease.parts.push((sid, attrs));
         }
         metrics::global().observe(HistogramId::ShardLockWaitUs, wait_us);
-        let sub = merged.unwrap_or_else(|| PrkbEngine::new(self.config));
-
-        // The budget may have burned down entirely while we were parked on
-        // busy attributes. Abort before evaluation: check the footprint
-        // straight back in (uncommitted — the KB is untouched) so the
-        // doomed query frees its attributes for live ones.
         if expired(deadline) {
-            self.release_parts(&parts, Some(sub), false);
             return Err(deadline_error());
         }
-        let mut sub = sub;
-
-        // Evaluation happens here, outside every lock. A panic guard checks
-        // the knowledge back in even if `f` unwinds, so one poisoned query
-        // cannot strand an attribute's index.
-        let mut guard = Checkin {
-            sched: self,
-            parts: &parts,
-            merged: None,
-        };
-        let result = f(&mut sub);
-        guard.merged = Some(sub);
-
-        match result {
-            Ok(value) => {
-                let (seq, tickets) = guard.checkin(true);
-                self.settle_commit(tickets, parts.iter().map(|(sid, _)| *sid))?;
-                Ok((value, seq))
-            }
-            Err(e) => {
-                guard.checkin(false);
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Splits `merged` back into its per-shard parts and checks each in,
-    /// ascending. On a committed checkin this draws the global sequence
-    /// number under the first shard's lock and enqueues one WAL record per
-    /// touched durable shard (atomically with the reattach, so each shard's
-    /// WAL order matches its commit order). Returns the sequence number and
-    /// the group-commit tickets still to be awaited.
-    fn release_parts(
-        &self,
-        parts: &[(usize, Vec<AttrId>)],
-        merged: Option<PrkbEngine<P>>,
-        committed: bool,
-    ) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let mut tickets = Vec::new();
-        let mut seq = 0u64;
-        let Some(mut merged) = merged else {
-            if committed {
-                seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            return (seq, tickets);
-        };
-        let last = parts.len().saturating_sub(1);
-        for (i, (sid, shard_attrs)) in parts.iter().enumerate() {
-            let mut sub = if i == last {
-                std::mem::replace(&mut merged, PrkbEngine::new(self.config))
-            } else {
-                merged
-                    .detach_attrs(shard_attrs)
-                    .expect("footprint attrs present in merged sub-engine")
-            };
-            // Journaled ops travel with the knowledge; drain them after the
-            // split so each batch is exactly this shard's ops. Aborted
-            // operations left no ops (abort-safe pipelines).
-            let ops = sub.take_ops();
-            let shard = &self.shards[*sid];
-            let mut st = shard.lock();
-            if committed && i == 0 {
-                seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            st.engine
-                .as_mut()
-                .expect("busy attrs pin the engine in place")
-                .attach(sub);
-            for a in shard_attrs {
-                st.busy.remove(a);
-            }
-            if committed {
-                if let Some(committer) = &shard.committer {
-                    let entries: Vec<TxnEntry<P>> = ops
-                        .into_iter()
-                        .map(|(attr, op)| TxnEntry::Op { attr, op })
-                        .collect();
-                    tickets.push((*sid, committer.enqueue(encode_txn(&entries))));
-                }
-            }
-            // Precise wakeups: only sessions parked on an attribute this
-            // checkin actually freed.
-            for a in shard_attrs {
-                if let Some(cell) = st.waiters.get(a) {
-                    cell.cv.notify_all();
-                }
-            }
-            let now_quiescent = st.busy.is_empty();
-            drop(st);
-            if now_quiescent {
-                shard.quiescent.notify_all();
-            }
-        }
-        if committed && parts.is_empty() {
-            seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        }
-        (seq, tickets)
+        Ok(lease)
     }
 
     /// Awaits group-commit durability for every ticket, then lets any
     /// touched shard that crossed its checkpoint threshold rotate.
-    fn settle_commit(
-        &self,
-        tickets: Vec<(usize, GroupCommitTicket)>,
-        touched: impl Iterator<Item = usize>,
-    ) -> Result<(), ServeError> {
-        for (sid, ticket) in tickets {
+    fn settle_commit(&self, tickets: Vec<(usize, GroupCommitTicket)>) -> Result<(), ServeError> {
+        for &(sid, ticket) in &tickets {
             self.shards[sid]
                 .committer
                 .as_ref()
@@ -657,7 +586,7 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
                 .wait_durable(ticket)
                 .map_err(ServeError::Durable)?;
         }
-        for sid in touched {
+        for (sid, _) in tickets {
             self.maybe_checkpoint_shard(sid)?;
         }
         Ok(())
@@ -675,225 +604,15 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
             return Ok(());
         }
         let mut st = shard.lock();
-        if st.exclusive || !st.busy.is_empty() {
+        if !st.busy.is_empty() {
             return Ok(());
         }
-        let Some(engine) = st.engine.as_mut() else {
-            return Ok(());
-        };
         // The shard lock is held across the rotation: no checkout can
         // mutate or enqueue while the snapshot is serialized, so the
         // checkpoint is exactly the state the flushed WAL produced.
-        committer.checkpoint(engine).map_err(ServeError::Durable)
-    }
-
-    /// Reserves every shard exclusively (ascending id order) and merges the
-    /// pool into one engine for a whole-table operation.
-    fn reserve_all(&self) -> PrkbEngine<P> {
-        let reserve_start = Instant::now();
-        let mut merged = PrkbEngine::new(self.config);
-        for shard in &self.shards {
-            let mut st = shard.lock();
-            while st.exclusive || st.engine.is_none() || !st.busy.is_empty() {
-                st = shard.wait_quiescent(st);
-            }
-            st.exclusive = true;
-            let engine = st.engine.take().expect("loop ensured engine present");
-            drop(st);
-            merged.attach(engine);
-        }
-        metrics::global().observe(
-            HistogramId::ShardLockWaitUs,
-            reserve_start.elapsed().as_micros() as u64,
-        );
-        merged
-    }
-
-    /// Splits a merged whole-pool engine back into its shards, clearing the
-    /// exclusive flags (ascending order; the sequence number, if any, is
-    /// drawn under shard 0's lock).
-    fn reinstall_all(
-        &self,
-        mut merged: PrkbEngine<P>,
-        committed: bool,
-    ) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let mut tickets = Vec::new();
-        let mut seq = 0u64;
-        let last = self.shards.len() - 1;
-        for (sid, shard) in self.shards.iter().enumerate() {
-            let mut sub = if sid == last {
-                std::mem::replace(&mut merged, PrkbEngine::new(self.config))
-            } else {
-                let own: Vec<AttrId> = merged
-                    .attrs()
-                    .filter(|&a| self.map.shard_of(a) == sid)
-                    .collect();
-                merged
-                    .detach_attrs(&own)
-                    .expect("attrs enumerated from merged engine")
-            };
-            let ops = sub.take_ops();
-            let mut st = shard.lock();
-            if committed && sid == 0 {
-                seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            st.engine = Some(sub);
-            st.exclusive = false;
-            if committed {
-                if let Some(committer) = &shard.committer {
-                    let entries: Vec<TxnEntry<P>> = ops
-                        .into_iter()
-                        .map(|(attr, op)| TxnEntry::Op { attr, op })
-                        .collect();
-                    tickets.push((sid, committer.enqueue(encode_txn(&entries))));
-                }
-            }
-            drop(st);
-            shard.quiescent.notify_all();
-        }
-        (seq, tickets)
-    }
-
-    /// Runs `f` with exclusive access to the whole pool (waits for every
-    /// in-flight checkout on every shard first) and assigns a commit
-    /// sequence number. For operations whose footprint is every attribute:
-    /// inserts, deletes. In durable pools the journaled ops are
-    /// group-commit durable on every shard before this returns.
-    ///
-    /// # Errors
-    /// [`ServeError::Durable`] when a durable shard fails; infallible on
-    /// in-memory pools.
-    pub fn with_exclusive<T>(
-        &self,
-        f: impl FnOnce(&mut PrkbEngine<P>) -> T,
-    ) -> Result<(T, u64), ServeError> {
-        self.with_exclusive_deadline(None, f)
-    }
-
-    /// [`with_exclusive`](Self::with_exclusive) with a deadline budget:
-    /// if the budget expired by the time the pool quiesces, the
-    /// reservation is released uncommitted and the call fails with
-    /// [`OracleError::DeadlineExceeded`] without running `f`. Exclusive
-    /// operations are not interrupted mid-`f` — once evaluation starts the
-    /// commit is all-or-nothing, so the only deadline point is checkout.
-    pub fn with_exclusive_deadline<T>(
-        &self,
-        deadline: Option<Instant>,
-        f: impl FnOnce(&mut PrkbEngine<P>) -> T,
-    ) -> Result<(T, u64), ServeError> {
-        self.check_shard_poison(0..self.shards.len())?;
-        let merged = self.reserve_all();
-        if expired(deadline) {
-            let mut guard = ExclusiveCheckin {
-                sched: self,
-                merged: Some(merged),
-            };
-            guard.checkin(false);
-            return Err(deadline_error());
-        }
-        let mut merged = merged;
-        let mut guard = ExclusiveCheckin {
-            sched: self,
-            merged: None,
-        };
-        let value = f(&mut merged);
-        guard.merged = Some(merged);
-        let (seq, tickets) = guard.checkin(true);
-        self.settle_commit(tickets, 0..self.shards.len())?;
-        Ok((value, seq))
-    }
-
-    /// Single-predicate selection (comparison or BETWEEN trapdoor) against
-    /// a per-request [`SessionOracle`]. `deadline` bounds the whole
-    /// operation: checkout waits and every oracle batch check it, and
-    /// expiry aborts with [`OracleError::DeadlineExceeded`] leaving the KB
-    /// untouched.
-    ///
-    /// # Errors
-    /// [`ServeError`] on engine or durability failure.
-    pub fn select<O, R>(
-        &self,
-        oracle: &O,
-        pred: &P,
-        deadline: Option<Instant>,
-        rng: &mut R,
-    ) -> Result<(Selection, u64), ServeError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        let session = SessionOracle::new(oracle);
-        let bounded = DeadlineOracle::new(&session, deadline);
-        self.with_detached_deadline(&[pred.attr()], deadline, |sub| {
-            sub.try_select(&bounded, pred, rng)
-        })
-    }
-
-    /// Multi-dimensional range selection (PRKB(MD)). Callers must have
-    /// rejected duplicate-attribute dimensions already (the engine treats
-    /// them as a programmer error).
-    ///
-    /// # Errors
-    /// [`ServeError`] on engine or durability failure.
-    pub fn select_range_md<O, R>(
-        &self,
-        oracle: &O,
-        dims: &[[P; 2]],
-        deadline: Option<Instant>,
-        rng: &mut R,
-    ) -> Result<(Selection, u64), ServeError>
-    where
-        O: SelectionOracle<Pred = P>,
-        R: Rng,
-    {
-        let attrs: Vec<AttrId> = dims.iter().map(|d| d[0].attr()).collect();
-        let session = SessionOracle::new(oracle);
-        let bounded = DeadlineOracle::new(&session, deadline);
-        self.with_detached_deadline(&attrs, deadline, |sub| {
-            sub.try_select_range_md(&bounded, dims, rng)
-        })
-    }
-
-    /// Insert routing across every indexed attribute (whole-pool
-    /// footprint, hence exclusive).
-    ///
-    /// # Errors
-    /// [`ServeError`] on engine or durability failure.
-    pub fn insert<O>(
-        &self,
-        oracle: &O,
-        t: TupleId,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<(AttrId, InsertOutcome)>, u64), ServeError>
-    where
-        O: SelectionOracle<Pred = P>,
-    {
-        let (result, seq) =
-            self.with_exclusive_deadline(deadline, |engine| engine.try_insert(oracle, t))?;
-        Ok((result?, seq))
-    }
-
-    /// Delete across every indexed attribute.
-    ///
-    /// # Errors
-    /// [`ServeError::Durable`] when a durable shard fails; infallible on
-    /// in-memory pools.
-    pub fn delete(&self, t: TupleId, deadline: Option<Instant>) -> Result<u64, ServeError> {
-        let ((), seq) = self.with_exclusive_deadline(deadline, |engine| engine.delete(t))?;
-        Ok(seq)
-    }
-
-    /// Runs `f` with read access to the quiescent pool, without assigning a
-    /// sequence number. For validation and inspection.
-    pub fn inspect<T>(&self, f: impl FnOnce(&PrkbEngine<P>) -> T) -> T {
-        let merged = self.reserve_all();
-        let mut guard = ExclusiveCheckin {
-            sched: self,
-            merged: Some(merged),
-        };
-        let value = f(guard.merged.as_ref().expect("set above"));
-        guard.checkin(false);
-        value
+        committer
+            .checkpoint(&mut st.engine)
+            .map_err(ServeError::Durable)
     }
 
     /// Flushes and fsyncs every shard's pending group-commit batch — the
@@ -923,118 +642,94 @@ impl<P: SpPredicate + WireCodec> SessionScheduler<P> {
         if let Err(e) = self.flush_durable() {
             eprintln!("prkb-server: final durable flush failed during shutdown: {e}");
         }
-        self.reserve_all()
+        let mut lease = self
+            .checkout(Footprint::Pool, None)
+            .expect("a whole-pool checkout without a deadline cannot fail");
+        // The pool is dissolved with the scheduler: keep the knowledge
+        // instead of checking it back in.
+        lease.parts.clear();
+        std::mem::replace(&mut lease.engine, PrkbEngine::new(self.config))
     }
 }
 
-/// Panic-safe checkin for a detached footprint: reattaches the knowledge
-/// and frees the busy attributes on drop. The happy path calls
-/// [`Checkin::checkin`] explicitly to also obtain a sequence number and the
-/// durability tickets.
-struct Checkin<'a, P: SpPredicate> {
+/// A checked-out footprint: the merged knowledge it lent plus which shard
+/// lent which attributes. [`Lease::checkin`] returns it; dropping an
+/// unreturned lease — an error, an expired deadline, or a panicking `f` —
+/// checks it back in uncommitted, so no failure can strand an attribute.
+struct Lease<'a, P: SpPredicate + WireCodec> {
     sched: &'a SessionScheduler<P>,
-    parts: &'a [(usize, Vec<AttrId>)],
-    merged: Option<PrkbEngine<P>>,
+    parts: Vec<(usize, Vec<AttrId>)>,
+    engine: PrkbEngine<P>,
 }
 
-impl<P: SpPredicate + WireCodec> Checkin<'_, P> {
+impl<P: SpPredicate + WireCodec> Lease<'_, P> {
+    /// Splits the merged engine back into its per-shard parts and checks
+    /// each in, ascending. On a committed checkin this draws the global
+    /// sequence number under the first shard's lock and enqueues one WAL
+    /// record per touched durable shard (atomically with the reattach, so
+    /// each shard's WAL order matches its commit order). Returns the
+    /// sequence number and the group-commit tickets still to be awaited.
     fn checkin(&mut self, committed: bool) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let merged = self.merged.take();
-        self.sched.release_parts(self.parts, merged, committed)
+        let sched = self.sched;
+        let parts = std::mem::take(&mut self.parts);
+        let mut merged = std::mem::replace(&mut self.engine, PrkbEngine::new(sched.config));
+        let mut seq = 0u64;
+        let mut tickets = Vec::new();
+        let last = parts.len().saturating_sub(1);
+        for (i, (sid, lent)) in parts.iter().enumerate() {
+            let mut sub = if i == last {
+                std::mem::replace(&mut merged, PrkbEngine::new(sched.config))
+            } else {
+                // Split by ownership: an attribute `f` initialized goes to
+                // the shard that owns it.
+                let own: Vec<AttrId> = merged
+                    .attrs()
+                    .filter(|&a| sched.map.shard_of(a) == *sid)
+                    .collect();
+                merged
+                    .detach_attrs(&own)
+                    .expect("attrs enumerated from the merged engine")
+            };
+            // Journaled ops travel with the knowledge; drain them after the
+            // split so each batch is exactly this shard's ops. Aborted
+            // operations left no ops (abort-safe pipelines).
+            let ops = sub.take_ops();
+            let shard = &sched.shards[*sid];
+            let mut st = shard.lock();
+            if committed && i == 0 {
+                seq = sched.seq.fetch_add(1, Ordering::Relaxed) + 1;
+            }
+            st.engine.attach(sub);
+            for a in lent {
+                st.busy.remove(a);
+            }
+            if committed {
+                if let Some(committer) = &shard.committer {
+                    tickets.push((*sid, committer.enqueue_ops(ops)));
+                }
+            }
+            // Precise wakeups: only sessions parked on an attribute this
+            // checkin actually freed.
+            for a in lent {
+                if let Some(cell) = st.waiters.get(a) {
+                    cell.cv.notify_all();
+                }
+            }
+        }
+        if committed && parts.is_empty() {
+            seq = sched.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        }
+        (seq, tickets)
     }
 }
 
-impl<P: SpPredicate> Drop for Checkin<'_, P> {
+impl<P: SpPredicate + WireCodec> Drop for Lease<'_, P> {
     fn drop(&mut self) {
-        if let Some(merged) = self.merged.take() {
-            // Only reachable when `f` panicked: WireCodec is not needed for
-            // an uncommitted release, but the bound lives on the shared
-            // helper, so reattach inline.
+        if !self.parts.is_empty() {
+            // A second panic while unwinding would abort the process.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                release_uncommitted(self.sched, self.parts, merged);
+                self.checkin(false);
             }));
-        }
-    }
-}
-
-/// Uncommitted reattach used by the panic guards (no sequence number, no
-/// WAL records — abort-safe pipelines left no ops to journal).
-fn release_uncommitted<P: SpPredicate>(
-    sched: &SessionScheduler<P>,
-    parts: &[(usize, Vec<AttrId>)],
-    mut merged: PrkbEngine<P>,
-) {
-    let last = parts.len().saturating_sub(1);
-    for (i, (sid, shard_attrs)) in parts.iter().enumerate() {
-        let mut sub = if i == last {
-            std::mem::replace(&mut merged, PrkbEngine::new(sched.config))
-        } else {
-            merged
-                .detach_attrs(shard_attrs)
-                .expect("footprint attrs present in merged sub-engine")
-        };
-        let _ = sub.take_ops();
-        let shard = &sched.shards[*sid];
-        let mut st = shard.lock();
-        st.engine
-            .as_mut()
-            .expect("busy attrs pin the engine in place")
-            .attach(sub);
-        for a in shard_attrs {
-            st.busy.remove(a);
-        }
-        for a in shard_attrs {
-            if let Some(cell) = st.waiters.get(a) {
-                cell.cv.notify_all();
-            }
-        }
-        let now_quiescent = st.busy.is_empty();
-        drop(st);
-        if now_quiescent {
-            shard.quiescent.notify_all();
-        }
-    }
-}
-
-/// Panic-safe exclusive checkin: reinstalls the merged pool on drop.
-struct ExclusiveCheckin<'a, P: SpPredicate> {
-    sched: &'a SessionScheduler<P>,
-    merged: Option<PrkbEngine<P>>,
-}
-
-impl<P: SpPredicate + WireCodec> ExclusiveCheckin<'_, P> {
-    fn checkin(&mut self, committed: bool) -> (u64, Vec<(usize, GroupCommitTicket)>) {
-        let merged = self
-            .merged
-            .take()
-            .expect("checkin called once, with sub set");
-        self.sched.reinstall_all(merged, committed)
-    }
-}
-
-impl<P: SpPredicate> Drop for ExclusiveCheckin<'_, P> {
-    fn drop(&mut self) {
-        if let Some(mut merged) = self.merged.take() {
-            let sched = self.sched;
-            let last = sched.shards.len() - 1;
-            for (sid, shard) in sched.shards.iter().enumerate() {
-                let sub = if sid == last {
-                    std::mem::replace(&mut merged, PrkbEngine::new(sched.config))
-                } else {
-                    let own: Vec<AttrId> = merged
-                        .attrs()
-                        .filter(|&a| sched.map.shard_of(a) == sid)
-                        .collect();
-                    merged
-                        .detach_attrs(&own)
-                        .expect("attrs enumerated from merged engine")
-                };
-                let mut st = shard.lock();
-                st.engine = Some(sub);
-                st.exclusive = false;
-                drop(st);
-                shard.quiescent.notify_all();
-            }
         }
     }
 }
@@ -1117,9 +812,13 @@ mod tests {
         // before `f` ever runs.
         let past = Instant::now() - std::time::Duration::from_millis(1);
         let err = sched
-            .with_detached_deadline(&[0], Some(past), |_sub| -> Result<(), QueryError> {
-                panic!("closure must not run once the budget expired")
-            })
+            .run(
+                Footprint::Attrs(&[0]),
+                Some(past),
+                |_sub| -> Result<(), QueryError> {
+                    panic!("closure must not run once the budget expired")
+                },
+            )
             .expect_err("expired budget");
         assert!(matches!(
             err,
@@ -1138,16 +837,79 @@ mod tests {
         assert_eq!(sel.tuples.len(), 25);
         assert_eq!(seq, 1, "aborted checkout must not draw a sequence number");
 
-        // Exclusive checkout honours the budget the same way.
+        // A whole-pool checkout honours the budget the same way.
         let err = sched
-            .with_exclusive_deadline(Some(past), |_engine| {
-                panic!("closure must not run once the budget expired")
-            })
-            .expect_err("expired exclusive budget");
+            .run(
+                Footprint::Pool,
+                Some(past),
+                |_engine| -> Result<(), QueryError> {
+                    panic!("closure must not run once the budget expired")
+                },
+            )
+            .expect_err("expired whole-pool budget");
         assert_eq!(err.wire_code(), crate::proto::code::DEADLINE);
         let ((), seq) = sched
             .with_exclusive(|engine| engine.delete(3))
             .expect("pool not wedged after aborted exclusive");
+        assert_eq!(seq, 2);
+    }
+
+    #[test]
+    fn panicking_closure_checks_every_attr_back_in_without_a_seq() {
+        // 8 shards, 6 attributes: the cross-shard footprint spans shards,
+        // and the whole pool includes shards that hold no attribute.
+        let columns: Vec<Vec<u64>> = (0..6)
+            .map(|a| (0..100).map(|i| (i * (7 + a)) % 100).collect())
+            .collect();
+        let oracle = PlainOracle::from_columns(columns);
+        let sched = SessionScheduler::with_shards(engine_with(&oracle, 6), ShardMap::new(8));
+        let attrs: Vec<AttrId> = (0..6).collect();
+
+        // After each panic nothing stays busy and no knowledge is lost.
+        let all_checked_in = |sched: &SessionScheduler<Predicate>| {
+            let mut homed = 0;
+            for (sid, shard) in sched.shards.iter().enumerate() {
+                let st = shard.lock();
+                assert!(st.busy.is_empty(), "every attr checked back in");
+                for a in st.engine.attrs() {
+                    assert_eq!(sched.map.shard_of(a), sid, "attr {a} back on its shard");
+                    homed += 1;
+                }
+            }
+            assert_eq!(homed, 6, "no knowledge lost");
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sched.with_detached(&attrs, |_sub| -> Result<(), QueryError> {
+                panic!("query worker panics mid-evaluation")
+            })
+        }));
+        assert!(unwound.is_err(), "the panic propagates to the caller");
+        all_checked_in(&sched);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sched.with_exclusive::<()>(|_engine| panic!("update worker panics"))
+        }));
+        assert!(unwound.is_err(), "the panic propagates to the caller");
+        all_checked_in(&sched);
+
+        // Neither panicking operation drew a sequence number, and the next
+        // operations on the same footprints proceed.
+        let session = SessionOracle::new(&oracle);
+        let preds: Vec<Predicate> = (0..6)
+            .map(|a| Predicate::cmp(a, ComparisonOp::Lt, 60))
+            .collect();
+        let (sel, seq) = sched
+            .with_detached(&attrs, |sub| {
+                sub.try_select_conjunction(&session, &preds, &mut StdRng::seed_from_u64(3))
+            })
+            .expect("footprint free again after the panics");
+        assert_eq!(
+            seq, 1,
+            "a panicking operation must not draw a sequence number"
+        );
+        assert!(!sel.tuples.is_empty());
+        let ((), seq) = sched
+            .with_exclusive(|engine| engine.delete(5))
+            .expect("whole pool free again after the panics");
         assert_eq!(seq, 2);
     }
 

@@ -356,6 +356,8 @@ fn durable_pool_survives_restart_at(shards: usize) {
         ],
     ];
     client.select_range_md(9, dims).expect("md select");
+    // A whole-pool footprint: one WAL record on every shard.
+    client.delete(7).expect("delete");
     client.shutdown().expect("shutdown (drains every shard)");
     let report = handle.join().expect("join");
     let (k0_live, k1_live) = report.inspect(|e| {
@@ -376,6 +378,20 @@ fn durable_pool_survives_restart_at(shards: usize) {
     )
     .expect("reopen pool");
     assert_eq!(pool.map().shards(), shards);
+    // Every committed operation left exactly one record on each shard of
+    // its footprint: init and the selects on the owning shard, the MD
+    // range on both owners, the delete on every shard — including, at
+    // four shards, the two or more that hold no attribute.
+    let owners = [map.shard_of(0), map.shard_of(1)];
+    for (sid, report) in pool.reports().iter().enumerate() {
+        let owned = owners.iter().filter(|&&o| o == sid).count() as u64;
+        let md = u64::from(owned > 0);
+        assert_eq!(
+            report.records_replayed,
+            3 * owned + md + 1,
+            "{shards} shard(s): WAL records on shard {sid}"
+        );
+    }
     let mut k_disk = (0, 0);
     for sid in 0..shards {
         let engine = pool.shard_engine(sid);

@@ -2,8 +2,8 @@
 //!
 //! The scheduler's observable contract: a random multi-attribute workload —
 //! conjunctions whose footprints span shards, BETWEENs, single-attribute
-//! comparisons — executed by 4 concurrent worker threads over an 8-shard
-//! pool must
+//! comparisons, and whole-pool deletes — executed by 4 concurrent worker
+//! threads over an 8-shard pool must
 //!
 //! 1. never deadlock (two-phase checkout in ascending shard-id order),
 //! 2. assign dense commit sequence numbers, and
@@ -15,7 +15,7 @@
 use prkb_core::snapshot;
 use prkb_core::{EngineConfig, PrkbEngine, ShardMap};
 use prkb_edbms::testing::PlainOracle;
-use prkb_edbms::{AttrId, ComparisonOp, Predicate};
+use prkb_edbms::{AttrId, ComparisonOp, Predicate, TupleId};
 use prkb_server::scheduler::{SessionOracle, SessionScheduler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,22 +27,36 @@ const ROWS: usize = 240;
 const THREADS: usize = 4;
 const SHARDS: usize = 8;
 
-/// One scripted operation: a conjunction over `preds` (a single predicate
-/// degenerates to a plain selection) with a pinned per-op RNG seed, so the
-/// concurrent run and the sequential replay draw identical streams.
+/// One scripted operation, run concurrently and then replayed sequentially.
 #[derive(Debug, Clone)]
-struct ScriptOp {
-    preds: Vec<Predicate>,
-    attrs: Vec<AttrId>,
-    rng_seed: u64,
+enum ScriptOp {
+    /// A conjunction over `preds` (a single predicate degenerates to a
+    /// plain selection) with a pinned per-op RNG seed, so the concurrent
+    /// run and the sequential replay draw identical streams. Its footprint
+    /// is `attrs`.
+    Select {
+        preds: Vec<Predicate>,
+        attrs: Vec<AttrId>,
+        rng_seed: u64,
+    },
+    /// A delete of one tuple: a whole-pool footprint.
+    Delete(TupleId),
 }
 
 fn build_script(seed: u64, rounds: usize) -> Vec<Vec<ScriptOp>> {
     let mut rng = StdRng::seed_from_u64(seed);
+    // Every scripted delete names a distinct tuple.
+    let mut victims: Vec<TupleId> = (0..ROWS as TupleId).collect();
+    for i in (1..victims.len()).rev() {
+        victims.swap(i, rng.gen_range(0..=i));
+    }
     (0..THREADS)
         .map(|_| {
             (0..rounds)
                 .map(|_| {
+                    if rng.gen_range(0..5u8) == 0 {
+                        return ScriptOp::Delete(victims.pop().expect("ROWS exceeds the op count"));
+                    }
                     let width = rng.gen_range(1..=4usize);
                     let mut attrs: Vec<AttrId> = (0..ATTRS).collect();
                     for i in (1..attrs.len()).rev() {
@@ -61,9 +75,9 @@ fn build_script(seed: u64, rounds: usize) -> Vec<Vec<ScriptOp>> {
                             }
                         })
                         .collect();
-                    ScriptOp {
+                    ScriptOp::Select {
                         preds,
-                        attrs: attrs.clone(),
+                        attrs,
                         rng_seed: rng.gen(),
                     }
                 })
@@ -121,23 +135,36 @@ proptest! {
             handles.push(std::thread::spawn(move || {
                 let mut seen = Vec::new();
                 for op in ops {
-                    let session = SessionOracle::new(&*oracle);
-                    let preds = op.preds.clone();
-                    let rng_seed = op.rng_seed;
-                    let (sel, seq) = sched
-                        .with_detached(&op.attrs, |sub| {
-                            sub.try_select_conjunction(
-                                &session,
-                                &preds,
-                                &mut StdRng::seed_from_u64(rng_seed),
-                            )
-                        })
-                        .expect("conjunction commits");
+                    let (seq, tuples, qpf) = match &op {
+                        ScriptOp::Select {
+                            preds,
+                            attrs,
+                            rng_seed,
+                        } => {
+                            let session = SessionOracle::new(&*oracle);
+                            let (sel, seq) = sched
+                                .with_detached(attrs, |sub| {
+                                    sub.try_select_conjunction(
+                                        &session,
+                                        preds,
+                                        &mut StdRng::seed_from_u64(*rng_seed),
+                                    )
+                                })
+                                .expect("conjunction commits");
+                            (seq, sel.sorted(), sel.stats.qpf_uses)
+                        }
+                        ScriptOp::Delete(t) => {
+                            let ((), seq) = sched
+                                .with_exclusive(|engine| engine.delete(*t))
+                                .expect("delete commits");
+                            (seq, Vec::new(), 0)
+                        }
+                    };
                     seen.push(Observed {
                         seq,
                         op,
-                        tuples: sel.sorted(),
-                        qpf: sel.stats.qpf_uses,
+                        tuples,
+                        qpf,
                     });
                 }
                 seen
@@ -164,13 +191,21 @@ proptest! {
         let mut concurrent_qpf = 0u64;
         let mut replay_qpf = 0u64;
         for o in &observed {
-            let sel = replay
-                .try_select_conjunction(
-                    &*oracle,
-                    &o.op.preds,
-                    &mut StdRng::seed_from_u64(o.op.rng_seed),
-                )
-                .expect("replay commits");
+            let sel = match &o.op {
+                ScriptOp::Select {
+                    preds, rng_seed, ..
+                } => replay
+                    .try_select_conjunction(
+                        &*oracle,
+                        preds,
+                        &mut StdRng::seed_from_u64(*rng_seed),
+                    )
+                    .expect("replay commits"),
+                ScriptOp::Delete(t) => {
+                    replay.delete(*t);
+                    continue;
+                }
+            };
             prop_assert_eq!(
                 &o.tuples,
                 &sel.sorted(),
